@@ -17,10 +17,11 @@ type record = {
   tool : string;        (** detector name *)
   jobs : int;           (** worker count; 1 = sequential driver *)
   plan : string;
-      (** which parallel plan produced the row:
-          [Shard.kind_to_string] (["static"] / ["stealing"]) for
-          parallel rows, ["seq"] for sequential ones — so regression
-          tooling can compare like with like across the plan switch *)
+      (** which driver produced the row: ["stealing"] for parallel
+          rows, ["seq"] for sequential ones (other experiments use
+          their own labels, e.g. ["seq+prof"]) — so regression tooling
+          can compare like with like.  Older trajectories also carry
+          ["static"] rows from a since-deleted broadcast plan *)
   events : int;         (** trace length *)
   elapsed : float;      (** seconds (wall for parallel runs) *)
   throughput : float;   (** events / elapsed second; 0 when elapsed
@@ -46,7 +47,7 @@ type record = {
   prefix_wall : float;
       (** wall seconds of the stealing plan's (parallelized) prefix —
           [Driver.result.prefix_wall] of the best run; [0.] for rows
-          with no such phase (seq, static plan, other experiments),
+          with no such phase (seq, other experiments),
           and the field is then omitted from the JSON *)
   prefix_frac : float;
       (** [prefix_wall / wall] of the same run — the measured Amdahl

@@ -4,24 +4,20 @@
    sync state (C/L of Figure 4) is shared, and it is written only by
    synchronization events.  Driver.run_parallel therefore shards the
    event stream by variable across detector instances on OCaml 5
-   domains.  Under the default work-stealing plan the sync state is
-   replayed exactly once into a shared read-only Sync_timeline and
-   [factor x jobs] fine-grained access-only items are pulled
-   dynamically by the workers; the legacy static plan (jobs shards,
-   full sync broadcast per shard) is measured alongside so the JSON
-   records quantify what the timeline + stealing redesign bought.
+   domains.  The sync state is replayed exactly once into a shared
+   read-only Sync_timeline and [factor x jobs] fine-grained
+   access-only items are pulled dynamically by the workers (the
+   work-stealing plan).
 
    This experiment measures the throughput axis — wall-clock speedup
-   over the sequential driver at 1/2/4/8 workers, per plan — and
+   over the sequential driver at 1/2/4/8 workers — and
    re-checks the precision axis: the merged warning list must be
    identical to the sequential one on every measured workload.
 
    Speedup is bounded by the host's core count (reported below; CI
-   runners have several, the paper's overhead argument is per-core).
-   The static plan is additionally capped by its broadcast fraction
-   (every shard replays all sync events: ceiling roughly
-   accesses / (accesses/N + syncs)); the stealing plan only by the
-   serial timeline prefix (Amdahl on the ~sync% of the trace). *)
+   runners have several, the paper's overhead argument is per-core)
+   and by the serial timeline prefix (Amdahl on the ~sync% of the
+   trace). *)
 
 let jobs_list = [ 1; 2; 4; 8 ]
 let workload_names = [ "moldyn"; "raytracer"; "sor"; "montecarlo" ]
@@ -105,10 +101,8 @@ let run ~scale ~repeat () =
         (* the jobs=1 stealing row's measured serial fraction: the [s]
            every later stealing cell's Amdahl ceiling is derived from *)
         let stealing_s1 = ref None in
-        (* one measured row per (jobs, plan); the printed table shows
-           the default (stealing) columns, the JSON carries both *)
-        let measure ~jobs plan =
-          let par_result = Driver.run_parallel ~jobs ~plan d tr in
+        let measure ~jobs =
+          let par_result = Driver.run_parallel ~jobs d tr in
           if
             not
               (same_warnings seq_result.Driver.warnings
@@ -116,29 +110,27 @@ let run ~scale ~repeat () =
           then
             failwith
               (Printf.sprintf
-                 "%s: parallel (%d jobs, %s) warnings differ from \
+                 "%s: parallel (%d jobs) warnings differ from \
                   sequential — precision regression"
-                 w.name jobs
-                 (Shard.kind_to_string plan));
+                 w.name jobs);
           let best, elapsed =
-            best_run ~repeat (fun () -> Driver.run_parallel ~jobs ~plan d tr)
+            best_run ~repeat (fun () -> Driver.run_parallel ~jobs d tr)
           in
           let speedup =
             if elapsed > 0. then seq_elapsed /. elapsed else 0.
           in
           let prefix_wall = best.Driver.prefix_wall in
           let prefix_frac = Driver.prefix_frac best in
-          (if plan = Shard.Stealing && jobs = 1 then
-             stealing_s1 := Some prefix_frac);
+          if jobs = 1 then stealing_s1 := Some prefix_frac;
           let amdahl_ceiling =
-            match (plan, !stealing_s1) with
-            | Shard.Stealing, Some s1 ->
+            match !stealing_s1 with
+            | Some s1 ->
               1. /. (s1 +. ((1. -. s1) /. float_of_int (max 1 jobs)))
-            | _ -> 0.
+            | None -> 0.
           in
           Bench_json.add
             { Bench_json.experiment = "parallel"; workload = w.name;
-              tool; jobs; plan = Shard.kind_to_string plan; events;
+              tool; jobs; plan = "stealing"; events;
               elapsed;
               throughput = Bench_json.throughput ~events ~elapsed;
               slowdown = Bench_common.slowdown elapsed base;
@@ -153,8 +145,7 @@ let run ~scale ~repeat () =
         let cells =
           List.concat_map
             (fun jobs ->
-              ignore (measure ~jobs Shard.Static);
-              let elapsed, speedup = measure ~jobs Shard.Stealing in
+              let elapsed, speedup = measure ~jobs in
               [ Printf.sprintf "%.1f" (elapsed *. 1000.);
                 Printf.sprintf "%.2fx" speedup ])
             jobs_list

@@ -85,14 +85,15 @@ let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Shard the analysis by variable across $(docv) analysis \
-                 domains (1 = sequential; 0 = one per available core).  \
-                 Clock-sharing detectors use a work-stealing item queue \
-                 over a shared sync timeline; others fall back to the \
-                 static broadcast plan.  Warnings are merged \
-                 deterministically and are identical to a sequential \
-                 run's.  Values above the runtime's recommended domain \
-                 count are accepted but warned about (domains would \
-                 contend for cores).")
+                 domains (1 = sequential; 0 = one per available core), \
+                 as a work-stealing item queue over a shared sync \
+                 timeline.  Flight-recorder runs ($(b,--explain), \
+                 $(b,--report)) and tools that do not share clocks \
+                 (goldilocks, accordion) run sequentially whatever \
+                 $(docv) is.  Warnings are merged deterministically and \
+                 are identical to a sequential run's.  Values above the \
+                 runtime's recommended domain count are accepted but \
+                 warned about (domains would contend for cores).")
 
 let config_of granularity = { Config.default with granularity }
 
@@ -223,10 +224,13 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 (* analyze                                                            *)
 
-(* The --verbose-stats panel: counters, rule histogram, per-shard
+(* The --verbose-stats panel: counters, rule histogram, per-worker
    load table, GC cross-check, and warnings re-rendered with their
-   rule-histogram context and shard provenance. *)
-let print_verbose_panel ~jobs ~obs ~prof (r : Driver.result) =
+   rule-histogram context and work-item provenance.  The parallel rows
+   key on what ran (a non-empty worker table), not on the --jobs that
+   was asked for. *)
+let print_verbose_panel ~obs ~prof (r : Driver.result) =
+  let parallel = Array.length r.shards > 0 in
   print_endline "-- counters --";
   let t =
     Table.create ~columns:[ ("Metric", Table.Left); ("Value", Table.Right) ]
@@ -244,7 +248,7 @@ let print_verbose_panel ~jobs ~obs ~prof (r : Driver.result) =
          Table.fmt_int
            (int_of_float (float_of_int r.stats.Stats.events /. r.wall))
        else "-") ];
-  if jobs > 1 then
+  if parallel then
     Table.add_row t [ "imbalance"; Printf.sprintf "%.2f" r.imbalance ];
   Table.print t;
   (match Stats.rules_alist r.stats with
@@ -266,28 +270,19 @@ let print_verbose_panel ~jobs ~obs ~prof (r : Driver.result) =
               (100. *. float_of_int n /. float_of_int (max total 1)) ])
       rules;
     Table.print t);
-  if Array.length r.shards > 0 then begin
-    print_endline
-      (match r.plan_kind with
-      | Shard.Static -> "-- shards --"
-      | Shard.Stealing -> "-- workers (stealing plan) --");
+  if parallel then begin
+    print_endline "-- workers (stealing plan) --";
     let t =
       Table.create
         ~columns:
-          [ ((match r.plan_kind with
-             | Shard.Static -> "Shard"
-             | Shard.Stealing -> "Worker"),
-             Table.Right);
-            ("Accesses", Table.Right);
-            ("Broadcast", Table.Right); ("Wall(ms)", Table.Right);
-            ("Warnings", Table.Right) ]
+          [ ("Worker", Table.Right); ("Accesses", Table.Right);
+            ("Wall(ms)", Table.Right); ("Warnings", Table.Right) ]
     in
     Array.iter
       (fun (si : Driver.shard_info) ->
         Table.add_row t
           [ string_of_int si.Driver.shard_id;
             Table.fmt_int si.Driver.shard_accesses;
-            Table.fmt_int si.Driver.shard_syncs;
             Printf.sprintf "%.2f" (si.Driver.shard_wall *. 1000.);
             string_of_int si.Driver.shard_warnings ])
       r.shards;
@@ -317,17 +312,10 @@ let print_verbose_panel ~jobs ~obs ~prof (r : Driver.result) =
     let rules = Stats.rules_alist r.stats in
     List.iter
       (fun w ->
-        (* provenance: shard id (static) or work-item slot (stealing)
-           that analyzed the variable *)
+        (* provenance: the work-item slot that analyzed the variable *)
         let shard =
-          if jobs > 1 then
-            Some
-              (Shard.shard_of_var
-                 ~jobs:
-                   (match r.plan_kind with
-                   | Shard.Static -> jobs
-                   | Shard.Stealing -> r.slots)
-                 w.Warning.x)
+          if parallel then
+            Some (Shard.shard_of_var ~jobs:r.slots w.Warning.x)
           else None
         in
         Format.printf "  @[<h>%a@]@."
@@ -504,7 +492,7 @@ let analyze path tool granularity sampling jobs prefilter static_elim
       in
       let jobs = if jobs = 0 then Driver.default_jobs () else max 1 jobs in
       (* Warn (don't clamp): oversubscription is legal — and the only
-         way to exercise the parallel plans on a small machine — but
+         way to exercise the parallel plan on a small machine — but
          it will not be faster, so say so once. *)
       let recommended = Driver.default_jobs () in
       if jobs > recommended then
@@ -519,13 +507,12 @@ let analyze path tool granularity sampling jobs prefilter static_elim
       in
       (* The driver already emitted the stream's final record. *)
       Obs_live.close live;
+      (* Report what ran, not what --jobs asked for: recorder runs and
+         non-clock-sharing tools come back sequential (no workers). *)
+      let workers = Array.length result.Driver.shards in
       let mode =
-        if jobs > 1 then
-          Printf.sprintf " [%d %s, %s plan]" jobs
-            (match result.Driver.plan_kind with
-            | Shard.Static -> "shards"
-            | Shard.Stealing -> "workers")
-            (Shard.kind_to_string result.Driver.plan_kind)
+        if workers > 0 then
+          Printf.sprintf " [%d workers, stealing plan]" workers
         else ""
       in
       (* cpu for the sequential driver, wall for the parallel one —
@@ -533,7 +520,7 @@ let analyze path tool granularity sampling jobs prefilter static_elim
       Printf.printf "%s%s: %d events, %d warning(s), %.2f ms\n" result.tool
         mode (Trace.length tr)
         (List.length result.warnings)
-        ((if jobs > 1 then result.wall else result.cpu) *. 1000.);
+        ((if workers > 0 then result.wall else result.cpu) *. 1000.);
       List.iter
         (fun w -> Printf.printf "  %s\n" (Warning.to_string w))
         result.warnings;
@@ -546,24 +533,18 @@ let analyze path tool granularity sampling jobs prefilter static_elim
           (100. *. float_of_int n /. float_of_int (max 1 (Trace.length tr)))
           (Trace.length tr)
       end;
-      if jobs > 1 then
-        Printf.printf "%s: imbalance %.2f, accesses [%s]\n"
-          (match result.Driver.plan_kind with
-          | Shard.Static -> "shards"
-          | Shard.Stealing -> "workers")
+      if workers > 0 then
+        Printf.printf "workers: imbalance %.2f, accesses [%s]\n"
           result.Driver.imbalance
           (String.concat "; "
              (Array.to_list
                 (Array.map
                    (fun (si : Driver.shard_info) ->
-                     Printf.sprintf "%s%d=%d"
-                       (match result.Driver.plan_kind with
-                       | Shard.Static -> "s"
-                       | Shard.Stealing -> "w")
-                       si.Driver.shard_id si.Driver.shard_accesses)
+                     Printf.sprintf "w%d=%d" si.Driver.shard_id
+                       si.Driver.shard_accesses)
                    result.Driver.shards)));
       if show_stats then Format.printf "%a@." Stats.pp result.stats;
-      if verbose_stats then print_verbose_panel ~jobs ~obs ~prof result;
+      if verbose_stats then print_verbose_panel ~obs ~prof result;
       Option.iter
         (fun file ->
           Driver.write_metrics ~source:path ~obs ~path:file result;
@@ -639,8 +620,8 @@ let analyze_cmd =
     Arg.(value & flag
          & info [ "verbose-stats" ]
              ~doc:"Print the full observability panel: counters, rule \
-                   histogram, per-shard load table, GC cross-check, and \
-                   warnings with rule/shard context.  Enables the \
+                   histogram, per-worker load table, GC cross-check, and \
+                   warnings with rule/work-item context.  Enables the \
                    observability layer for this run.")
   in
   let metrics =
@@ -648,7 +629,7 @@ let analyze_cmd =
          & info [ "metrics" ] ~docv:"FILE"
              ~doc:"Enable the observability layer and write its JSON \
                    document (metric registry snapshot, span timeline \
-                   with per-shard durations, GC samples, run summary \
+                   with per-item durations, GC samples, run summary \
                    with imbalance) to $(docv).")
   in
   let explain_race =
@@ -674,7 +655,7 @@ let analyze_cmd =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ] ~docv:"FILE"
              ~doc:"Write the run's span timeline (analysis phases, \
-                   per-shard lifetimes, race instants) as Chrome \
+                   per-item lifetimes, race instants) as Chrome \
                    trace-event JSON to $(docv) — load it in Perfetto or \
                    chrome://tracing; $(b,-) writes to stdout.  Enables \
                    the observability layer for this run.")

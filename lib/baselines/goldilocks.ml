@@ -5,7 +5,7 @@ let name = "Goldilocks"
 (* Goldilocks replays the synchronization-op log lazily per variable
    (transfer closures over the op list): its sync state is not a
    per-thread clock lookup, so it cannot resolve against a shared
-   Sync_timeline and keeps the legacy broadcast plan. *)
+   Sync_timeline: Driver.run_parallel runs it sequentially. *)
 let shares_clocks = false
 
 (* Synchronization elements: threads, locks and volatiles share one

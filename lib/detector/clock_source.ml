@@ -1,8 +1,8 @@
 (* Where a detector's synchronization state comes from (see
    clock_source.mli).  Live = a private Vc_state fed every sync event
-   (sequential runs, legacy broadcast shards).  Shared = a cursor over
-   an immutable Sync_timeline built once before the parallel region
-   (work-stealing shards). *)
+   (sequential runs).  Shared = a cursor over an immutable
+   Sync_timeline built once before the parallel region (work-stealing
+   items). *)
 
 type t =
   | Live of Vc_state.t

@@ -3,21 +3,17 @@
     Every VC-based detector needs, at each access, the acting thread's
     current vector clock [C_t] and epoch [E(t)]; lockset detectors
     additionally need the thread's held-lock set and the barrier
-    generation.  Historically each detector instance owned a private
-    {!Vc_state} and replayed {e every} synchronization event into it —
-    correct, but in the sharded parallel driver this meant [jobs]
-    redundant O(n)·VC replays of the same sync stream, the measured
-    cause of the driver's anti-scaling.
+    generation.  A parallel run must not replay the sync stream once
+    per worker (that redundant O(n)·VC replay was the measured cause
+    of an earlier driver's anti-scaling), so [Clock_source] puts
+    those lookups behind one interface with two implementations, and
+    the sequential and parallel analyses share the same hot path:
 
-    [Clock_source] puts those lookups behind one interface with two
-    implementations, so the sequential and sharded analyses share the
-    same hot path:
-
-    - {e Live} (sequential runs, legacy broadcast shards): a private
+    - {e Live} (sequential runs): a private
       {!Vc_state}; {!handle_sync} applies the Figure 3 / Section 4
       rules, lookups read the live state.  [~index] is ignored — the
       state {e is} the current index's.
-    - {e Shared} (work-stealing shards): a private {!Sync_timeline}
+    - {e Shared} (work-stealing items): a private {!Sync_timeline}
       cursor over the immutable timeline the driver built once;
       {!handle_sync} is a no-op (the timeline already replayed the
       sync stream), lookups resolve checkpoints at [~index].

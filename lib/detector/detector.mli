@@ -16,10 +16,10 @@ module type S = sig
       barrier generations), so that it can run against a shared
       read-only {!Sync_timeline} ([Config.sync_source]) instead of a
       private sync replay.  When [true], [Driver.run_parallel] may use
-      the work-stealing plan (access-only shard items, no broadcast);
-      when [false] (e.g. Goldilocks' sync-op log, Accordion's private
-      clock compression) the driver falls back to the legacy
-      static-broadcast plan. *)
+      the work-stealing plan (access-only items over the shared
+      timeline); when [false] (e.g. Goldilocks' sync-op log,
+      Accordion's private clock compression) it runs the detector
+      sequentially. *)
 
   val create : Config.t -> t
 

@@ -1,7 +1,6 @@
 type shard_info = {
   shard_id : int;
   shard_accesses : int;
-  shard_syncs : int;
   shard_wall : float;
   shard_warnings : int;
 }
@@ -16,7 +15,6 @@ type result = {
   prefix_wall : float;
   shards : shard_info array;
   imbalance : float;
-  plan_kind : Shard.kind;
   slots : int;
 }
 
@@ -170,7 +168,6 @@ let run_packed ?(obs = Obs.disabled) ?(live = Obs_live.disabled)
       prefix_wall = 0.;
       shards = [||];
       imbalance = 1.0;
-      plan_kind = Shard.Static;
       slots = 1 }
   in
   finish_live ~prof live r ~wall;
@@ -186,190 +183,15 @@ let run ?(config = Config.default) d tr =
   r
 
 (* ------------------------------------------------------------------ *)
-(* Sharded parallel driver (see lib/parallel and DESIGN.md).          *)
+(* Work-stealing driver: shared sync timeline + dynamic item queue.   *)
 
 let default_jobs = Domain_pool.recommended_jobs
-
-let analyze_shard ?(obs = Obs.disabled) ?(live = Obs_live.disabled) d
-    config ~jobs ~shard tr =
-  let start = Obs.now obs in
-  (* Each shard records into a private flight-recorder view (fresh
-     rings, fresh lock picture): recorders are unsynchronized, and the
-     broadcast sync stream would otherwise race on the shared held-lock
-     state.  Views are merged after the region. *)
-  let rec_view = Obs_recorder.shard_view config.Config.recorder in
-  (* Same discipline for the profiler: a private view (fresh cells,
-     fresh sketch) per shard, merged after the region.  Variable
-     sharding makes the per-key cells disjoint, so the merged profile
-     — including the top-K — equals the sequential run's exactly. *)
-  let prof_view = Obs_prof.shard_view config.Config.prof in
-  let shard_config =
-    Config.with_prof prof_view (Config.with_recorder rec_view config)
-  in
-  let (warnings, witnesses, stats), shard_wall =
-    Par_run.wall_time (fun () ->
-        let packed = Detector.instantiate d shard_config in
-        let on_event = Detector.packed_handler packed in
-        (* Same elimination hook as the sequential driver: certified
-           accesses are dropped before the shard's detector instance;
-           the broadcast sync stream is never filtered. *)
-        let eliminated = ref 0 in
-        let on_event =
-          match config.Config.static_elim with
-          | None -> on_event
-          | Some certified ->
-            fun index e ->
-              (match e with
-              | (Event.Read { x; _ } | Event.Write { x; _ })
-                when certified x ->
-                incr eliminated
-              | _ -> on_event index e)
-        in
-        (* Live partials are built here, on the shard's own domain,
-           from the shard's own counters; the collector domain only
-           ever sees the immutable snapshots the ticker publishes. *)
-        let pub = Obs_live.publisher live ~worker:shard in
-        let on_event =
-          let st = Detector.packed_stats packed in
-          match
-            Obs_live.pub_ticker pub
-              ~current:(fun () ->
-                live_counts st ~extra_elim:!eliminated
-                  ~warnings:
-                    (List.length (Detector.packed_warnings packed)))
-              ~rules:(fun () -> Stats.rules_alist st)
-              ~vars:(fun () -> Obs_prof.hot_alist ~k:8 prof_view)
-          with
-          | None -> on_event
-          | Some tick ->
-            fun index e ->
-              on_event index e;
-              tick ()
-        in
-        Trace.iter_shard ~jobs ~shard on_event tr;
-        let stats = Detector.packed_stats packed in
-        stats.Stats.eliminated <- stats.Stats.eliminated + !eliminated;
-        let warnings = Detector.packed_warnings packed in
-        (* Census on the owning domain, over this shard's cells only. *)
-        Obs_prof.take_census prof_view;
-        Obs_live.pub_fold pub
-          ~vars:(Obs_prof.hot_alist ~k:8 prof_view)
-          ~counts:
-            (live_counts stats ~extra_elim:0
-               ~warnings:(List.length warnings))
-          ~rules:(Stats.rules_alist stats);
-        (warnings, Detector.packed_witnesses packed, stats))
-  in
-  (* One span per shard (one mutex acquisition per shard, not per
-     event); attributes carry the per-shard load-balance inputs. *)
-  Obs.record_span obs
-    ~name:(Printf.sprintf "shard-%d" shard)
-    ~start ~duration:shard_wall
-    ~attrs:
-      [ ("accesses", Obs_span.Int (stats.Stats.reads + stats.Stats.writes));
-        ("broadcast_replays", Obs_span.Int stats.Stats.syncs);
-        ("warnings", Obs_span.Int (List.length warnings)) ]
-    ();
-  (warnings, witnesses, stats, shard_wall, rec_view, prof_view)
-
-let merge_shards (module D : Detector.S) shard_results ~jobs ~cpu ~wall =
-  let shards =
-    Array.mapi
-      (fun i (w, _, (s : Stats.t), shard_wall, _, _) ->
-        { shard_id = i;
-          shard_accesses = s.Stats.reads + s.Stats.writes;
-          shard_syncs = s.Stats.syncs;
-          shard_wall;
-          shard_warnings = List.length w })
-      shard_results
-  in
-  let imbalance =
-    Shard.imbalance_of_counts
-      (Array.map (fun si -> si.shard_accesses) shards)
-  in
-  let results = Array.to_list shard_results in
-  (* Shards own disjoint shadow keys, and at most one warning is ever
-     recorded per key, so no two shards can warn at the same trace
-     index: sorting by index reconstructs the sequential run's
-     chronological warning list exactly.  Witnesses ride the same
-     argument (they are captured beside the warnings, one per key at
-     most). *)
-  let warnings =
-    List.concat_map (fun (w, _, _, _, _, _) -> w) results
-    |> List.stable_sort Warning.compare
-  in
-  let witnesses =
-    List.concat_map (fun (_, ws, _, _, _, _) -> ws) results
-    |> List.stable_sort (fun (a : Witness.t) b ->
-           Int.compare a.Witness.index b.Witness.index)
-  in
-  { tool = D.name;
-    warnings;
-    witnesses;
-    stats = Stats.sum (List.map (fun (_, _, s, _, _, _) -> s) results);
-    cpu;
-    wall;
-    prefix_wall = 0.;
-    shards;
-    imbalance;
-    plan_kind = Shard.Static;
-    slots = jobs }
-
-let run_static ?(config = Config.default) ~jobs d tr =
-  let obs = config.Config.obs in
-  let live = config.Config.live in
-  if Obs.is_enabled obs then begin
-    Obs.gc_sample obs;
-    (* The materialized plan costs one extra counting pass, so it is
-       taken only when tracing: it prices the broadcast term of the
-       cost model before any domain spawns. *)
-    Obs.span obs "plan" (fun () ->
-        let plan = Shard.plan ~jobs tr in
-        Obs.set_gauge obs "shard.plan_imbalance" (Shard.imbalance plan);
-        Obs.bump obs "shard.broadcast_events" plan.Shard.broadcast)
-  end;
-  Obs_live.set_phase live "analyze";
-  let cpu0 = Sys.time () in
-  let shard_results, wall =
-    (* The collector domain merges the shards' published partials and
-       emits records for the duration of the region. *)
-    Obs_live.with_collector live (fun () ->
-        Par_run.map ~obs ~jobs (fun ~shard ->
-            analyze_shard ~obs ~live d config ~jobs ~shard tr))
-  in
-  (* On Linux, [Sys.time]'s clock sums CPU across the region's
-     domains, so this is detector work, not wall x jobs. *)
-  let cpu = Sys.time () -. cpu0 in
-  Obs_live.set_phase live "merge";
-  let result =
-    Obs.span obs "merge" (fun () ->
-        merge_shards d shard_results ~jobs ~cpu ~wall)
-  in
-  (* Fold each shard's private recorder view back into the parent
-     handle (disjoint per-key rings under variable sharding: a move,
-     not an interleave).  No-op when the recorder is disabled. *)
-  Array.iter
-    (fun (_, _, _, _, rec_view, prof_view) ->
-      Obs_recorder.merge ~into:config.Config.recorder rec_view;
-      Obs_prof.merge ~into:config.Config.prof prof_view)
-    shard_results;
-  Obs.gc_sample_full obs;
-  finish_metrics obs result.stats ~wall;
-  recorder_gauges obs config.Config.recorder;
-  if Obs.is_enabled obs then
-    Obs.set_gauge obs "shard.imbalance" result.imbalance;
-  finish_live ~prof:config.Config.prof live result ~wall;
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Work-stealing driver: shared sync timeline + dynamic item queue.   *)
 
 (* The timeline's build cost, folded into the merged stats so the
    stealing run's totals remain comparable with the sequential run's:
    its events are exactly the non-access events the items never see
    (merged [events] = accesses + sync + other = trace length), and its
-   vc_ops/vc_allocs/words are the one shared sync replay — where the
-   static plan pays jobs x that. *)
+   vc_ops/vc_allocs/words are the one shared sync replay. *)
 let stats_of_timeline (ts : Sync_timeline.stats) =
   let s = Stats.create () in
   s.Stats.events <- ts.Sync_timeline.sync_events + ts.Sync_timeline.other_events;
@@ -452,9 +274,9 @@ let run_stealing ?(config = Config.default) ~jobs d tr =
   Obs.gc_sample obs;
   let cpu0 = Sys.time () in
   let result, wall =
-    (* Unlike the static path, the prefix (routing + timeline) is part
-       of the measured wall time: it is real Amdahl cost of this plan,
-       and charging it keeps the jobs-sweep speedups honest. *)
+    (* The prefix (routing + timeline) is part of the measured wall
+       time: it is real Amdahl cost of this plan, and charging it
+       keeps the jobs-sweep speedups honest. *)
     Par_run.wall_time (fun () ->
         (* The prefix is itself parallel now (segmented routing with a
            pipelined timeline build, see Prefix): what remains serial
@@ -508,9 +330,8 @@ let run_stealing ?(config = Config.default) ~jobs d tr =
             Obs_prof.merge ~into:config.Config.prof prof_view)
           item_results;
         Obs.span obs "merge" (fun () ->
-            (* Per-worker accounting: the dynamic-queue analogue of the
-               static per-shard table.  [shard_syncs] is 0 by
-               construction — no broadcast replay exists to count. *)
+            (* Per-worker accounting, summed over the items each
+               worker claimed. *)
             let shards =
               Array.mapi
                 (fun w ids ->
@@ -526,7 +347,6 @@ let run_stealing ?(config = Config.default) ~jobs d tr =
                     ids;
                   { shard_id = w;
                     shard_accesses = !acc;
-                    shard_syncs = 0;
                     shard_wall = !walls;
                     shard_warnings = !warns })
                 claimed
@@ -540,8 +360,7 @@ let run_stealing ?(config = Config.default) ~jobs d tr =
                and at most one warning is recorded per key: warning
                trace indices are globally unique across items, so
                sorting by index reconstructs the sequential
-               chronological list exactly (same argument as the static
-               plan, unchanged by the pull order). *)
+               chronological list exactly, whatever the pull order. *)
             let warnings =
               List.concat_map (fun (w, _, _, _, _) -> w) results
               |> List.stable_sort Warning.compare
@@ -569,7 +388,6 @@ let run_stealing ?(config = Config.default) ~jobs d tr =
                 prefix_wall = prefix.Prefix.wall;
                 shards;
                 imbalance;
-                plan_kind = Shard.Stealing;
                 slots = plan.Shard.slots }))
   in
   let cpu = Sys.time () -. cpu0 in
@@ -586,28 +404,19 @@ let run_stealing ?(config = Config.default) ~jobs d tr =
   finish_live ~prof:config.Config.prof live result ~wall;
   result
 
-let run_parallel ?(config = Config.default) ?jobs ?plan d tr =
+let run_parallel ?(config = Config.default) ?jobs d tr =
   let jobs =
     match jobs with Some j -> max 1 j | None -> default_jobs ()
   in
   let (module D : Detector.S) = d in
-  let kind =
-    match plan with
-    | Some k -> k
-    | None ->
-      (* The stealing plan requires every sync lookup to go through
-         the shared timeline; the flight recorder additionally needs
-         the sync events delivered per shard (held-lock picture), so
-         --explain/--report runs keep the broadcast plan. *)
-      if
-        D.shares_clocks
-        && not (Obs_recorder.is_enabled config.Config.recorder)
-      then Shard.Stealing
-      else Shard.Static
-  in
-  match kind with
-  | Shard.Static -> run_static ~config ~jobs d tr
-  | Shard.Stealing -> run_stealing ~config ~jobs d tr
+  (* The stealing plan requires every sync lookup to go through the
+     shared timeline.  The flight recorder needs the sync events in
+     program order (its held-lock picture keeps acquisition order), so
+     recorder runs, like non-clock-sharing detectors, run
+     sequentially. *)
+  if D.shares_clocks && not (Obs_recorder.is_enabled config.Config.recorder)
+  then run_stealing ~config ~jobs d tr
+  else run ~config d tr
 
 (* ------------------------------------------------------------------ *)
 (* Metrics-document assembly (the [--metrics FILE] payload).          *)
@@ -616,7 +425,6 @@ let shard_info_json si =
   Obs_json.obj
     [ ("shard", Obs_json.int si.shard_id);
       ("accesses", Obs_json.int si.shard_accesses);
-      ("broadcast_replays", Obs_json.int si.shard_syncs);
       ("wall_s", Obs_json.float si.shard_wall);
       ("warnings", Obs_json.int si.shard_warnings) ]
 
@@ -625,7 +433,9 @@ let result_json ?(source = "") r =
     [ ("tool", Obs_json.str r.tool);
       ("source", Obs_json.str source);
       ("jobs", Obs_json.int (max 1 (Array.length r.shards)));
-      ("plan", Obs_json.str (Shard.kind_to_string r.plan_kind));
+      ("plan",
+       Obs_json.str
+         (if Array.length r.shards > 0 then "stealing" else "sequential"));
       ("slots", Obs_json.int r.slots);
       ("warnings", Obs_json.int (List.length r.warnings));
       ("witnesses", Obs_json.int (List.length r.witnesses));

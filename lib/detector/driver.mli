@@ -6,8 +6,8 @@
     so the only base cost is the replay itself).
 
     Observability: both drivers thread the {!Config.t}'s [obs] handle
-    through the run — phase spans ([plan] / [parallel.region] /
-    [shard-N] / [merge] for the parallel driver, [analyze] for the
+    through the run — phase spans ([prefix] / [parallel.region] /
+    [item-N] / [merge] for the parallel driver, [analyze] for the
     sequential one), periodic GC samples, and registry counters — and
     {!write_metrics} dumps the whole document as JSON.  With the
     default {!Obs.disabled} handle the event loop is selected
@@ -15,18 +15,13 @@
     event. *)
 
 type shard_info = {
-  shard_id : int;
-      (** static plan: the shard; stealing plan: the {e worker} *)
+  shard_id : int;  (** the worker *)
   shard_accesses : int;   (** read/write events it analyzed *)
-  shard_syncs : int;
-      (** broadcast sync events it replayed (0 under the stealing
-          plan — the shared timeline replaced the replay) *)
-  shard_wall : float;     (** wall seconds inside its task(s) *)
+  shard_wall : float;     (** wall seconds inside its items *)
   shard_warnings : int;
 }
-(** Per-shard (static) or per-worker (stealing) accounting of a
-    {!run_parallel} region, derived from the per-shard {!Stats} (no
-    extra trace pass). *)
+(** Per-worker accounting of a {!run_parallel} region, derived from
+    the per-item {!Stats} (no extra trace pass). *)
 
 type result = {
   tool : string;
@@ -45,22 +40,20 @@ type result = {
       (** wall seconds of the stealing plan's prefix (segmented
           routing + pipelined timeline build, see [Prefix]) — the
           Amdahl accounting the bench harness exports as
-          [prefix_wall]/[prefix_frac]; [0.] for sequential and
-          static-plan runs, which have no such phase *)
+          [prefix_wall]/[prefix_frac]; [0.] for sequential runs,
+          which have no such phase *)
   shards : shard_info array;
-      (** one entry per shard (static) or per worker (stealing) for
-          {!run_parallel}; [[||]] for {!run} *)
+      (** one entry per worker of a stealing run; [[||]] for a
+          sequential one — so [Array.length shards > 0] tells whether
+          a parallel region actually ran *)
   imbalance : float;
       (** {!Shard.imbalance_of_counts} over [shards]' access counts —
           max over mean, 1.0 = perfectly balanced; 1.0 for
-          sequential runs.  Under work stealing this is the
-          {e per-worker} figure the dynamic queue drives toward 1.0 *)
-  plan_kind : Shard.kind;
-      (** which parallel plan produced this result ({!Shard.Static}
-          for sequential runs, degenerately) *)
+          sequential runs.  This is the {e per-worker} figure the
+          dynamic queue drives toward 1.0 *)
   slots : int;
-      (** shard work items the plan produced ([jobs] for static,
-          [factor x jobs] for stealing, [1] for sequential) *)
+      (** work items the plan produced ([factor x jobs] for a
+          stealing run, [1] for a sequential one) *)
 }
 
 val run : ?config:Config.t -> (module Detector.S) -> Trace.t -> result
@@ -90,57 +83,50 @@ val run_packed :
     and feeds the live stream's [top_vars] standings from it. *)
 
 val run_parallel :
-  ?config:Config.t -> ?jobs:int -> ?plan:Shard.kind ->
-  (module Detector.S) -> Trace.t -> result
-(** Variable-sharded parallel analysis on OCaml 5 domains.
+  ?config:Config.t -> ?jobs:int -> (module Detector.S) -> Trace.t -> result
+(** Variable-sharded parallel analysis on OCaml 5 domains, by work
+    stealing over a shared sync timeline.
 
-    Two plans (see {!Shard.kind}); the default is chosen per detector:
+    One pass (itself segmented across domains, see [Prefix]) builds
+    the immutable {!Sync_timeline} — per-thread checkpoints of every
+    sync event's post-state with interned, structurally shared clock
+    snapshots — and splits the trace's access events into
+    [Shard.default_steal_factor x jobs] fine-grained items
+    ([obj mod slots], LPT-sorted).  [jobs] workers pull items
+    dynamically ({!Domain_pool.run_queue}); each item runs a fresh
+    detector instance whose {!Clock_source} resolves
+    clock/epoch/lockset lookups against the shared timeline, so the
+    sync stream is replayed once, not once per worker, and a hot
+    object pins at most one worker.  The timeline's build cost is
+    folded into [stats], so merged totals stay comparable with
+    {!run}'s ([events] = trace length).
 
-    {e Work stealing} (the default whenever the detector
-    [shares_clocks] and the flight recorder is off): one sequential
-    pass builds the immutable {!Sync_timeline} — per-thread
-    checkpoints of every sync event's post-state with interned,
-    structurally shared clock snapshots — and the trace's access
-    events are split into [Shard.default_steal_factor x jobs]
-    fine-grained items ([obj mod slots], LPT-sorted).  [jobs] workers
-    pull items dynamically ({!Domain_pool.run_queue}); each item runs
-    a fresh detector instance whose {!Clock_source} resolves
-    clock/epoch/lockset lookups against the shared timeline.  This
-    eliminates both causes of the original driver's anti-scaling: the
-    [jobs] x O(sync·VC) broadcast replay (now one shared pass) and
-    static hot-object imbalance (a hot item pins at most one worker).
-    The timeline's build cost is folded into [stats], so merged
-    totals stay comparable with {!run}'s ([events] = trace length).
+    The plan needs a detector that [shares_clocks] and a disabled
+    flight recorder (the recorder keeps held locks in acquisition
+    order, which only an in-order sync replay provides).  Otherwise
+    [run_parallel] is {!run} on the calling domain, returned
+    unchanged: [shards = [||]], [imbalance = 1.0].
 
-    {e Static} (fallback for non-clock-sharing detectors —
-    Goldilocks, Accordion — and for recorder-enabled runs; forceable
-    with [?plan]): exactly [jobs] shards, each receiving its owned
-    accesses plus a broadcast copy of every synchronization event
-    replayed into a private sync state, one domain per shard.
+    The merged warning {e and witness} lists are byte-identical —
+    same variables, kinds, trace indices, prior epochs and witness
+    clocks — to the sequential {!run}'s, for any detector whose
+    per-variable analysis depends only on the sync-event prefix (all
+    of ours; asserted over every built-in workload and adversarial
+    hot-object traces in [test/test_parallel.ml] and
+    [test/test_timeline.ml]).
 
-    Under {e both} plans the merged warning {e and witness} lists are
-    byte-identical — same variables, kinds, trace indices, prior
-    epochs and witness clocks — to the sequential {!run}'s, for any
-    detector whose per-variable analysis depends only on the
-    sync-event prefix (all of ours; asserted over every built-in
-    workload and adversarial hot-object traces in
-    [test/test_parallel.ml] and [test/test_timeline.ml]).
-
-    [jobs] defaults to {!default_jobs}; [jobs <= 1] analyzes on the
-    calling domain only.  [elapsed]/[wall] are {e wall-clock} seconds
-    (for the stealing plan including the serial timeline + plan
-    prefix — the honest Amdahl accounting); [cpu] sums across
-    domains.
+    [jobs] defaults to {!default_jobs}.  [wall] is {e wall-clock}
+    seconds including the serial timeline + plan prefix (the honest
+    Amdahl accounting); [cpu] sums across domains.
 
     Load-balance accounting rides along for free: [shards] carries
-    per-shard (static) or per-worker (stealing) access counts, wall
-    time and warning counts, and [imbalance] summarizes them.  With
-    observability enabled the run additionally records [prefix] (with
-    [prefix.route] / [prefix.timeline]) / [parallel.region] /
-    per-task / [merge] spans on one wall-clock timeline, plus
-    [timeline.*], [shard.*] and [prefix.*] gauges — the latter making
-    the serial-prefix fraction visible in the [ftrace.obs/1]
-    document. *)
+    per-worker access counts, wall time and warning counts, and
+    [imbalance] summarizes them.  With observability enabled the run
+    additionally records [prefix] (with [prefix.route] /
+    [prefix.timeline]) / [parallel.region] / per-item / [merge] spans
+    on one wall-clock timeline, plus [timeline.*], [shard.*] and
+    [prefix.*] gauges — the latter making the serial-prefix fraction
+    visible in the [ftrace.obs/1] document. *)
 
 val default_jobs : unit -> int
 (** The runtime's [Domain.recommended_domain_count ()]. *)
@@ -154,8 +140,10 @@ val prefix_frac : result -> float
 
 val result_json : ?source:string -> result -> Obs_json.t
 (** The run section of the metrics document: tool, [source] (trace
-    file or workload name), jobs, cpu/wall, imbalance, per-shard
-    table, {!Stats.fields_alist} and the rule histogram. *)
+    file or workload name), jobs, [plan] (["stealing"] when a
+    parallel region ran, ["sequential"] otherwise), cpu/wall,
+    imbalance, per-worker table, {!Stats.fields_alist} and the rule
+    histogram. *)
 
 val export_metrics : ?source:string -> obs:Obs.t -> result -> string
 (** The complete [--metrics] JSON document ({!Obs_export.document}

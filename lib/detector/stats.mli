@@ -45,13 +45,12 @@ val add_words : t -> int -> unit
 val sub_words : t -> int -> unit
 
 val merge_into : into:t -> t -> unit
-(** Field-wise accumulation, for combining the per-shard counters of
+(** Field-wise accumulation, for combining the per-item counters of
     the parallel driver.  [peak_words] accumulates the {e sum} of
-    peaks: shard states coexist, so the sum is the honest upper bound
-    on the run's true simultaneous footprint.  Note that after a
-    sharded run the broadcast synchronization events are counted once
-    per shard in [events]/[syncs]/[vc_ops] — they really were
-    processed that many times. *)
+    peaks: item states may coexist, so the sum is the honest upper
+    bound on the run's true simultaneous footprint.  The shared sync
+    timeline's replay is folded in once, so merged [events] equals
+    the trace length. *)
 
 val sum : t list -> t
 (** Fresh accumulator holding the {!merge_into} of the list. *)

@@ -43,9 +43,9 @@ val compare : t -> t -> int
 
 val pp_context :
   Format.formatter -> ?shard:int -> ?rules:(string * int) list -> t -> unit
-(** [pp] plus observability context in brackets: [shard] is the racy
-    variable's owner shard under the current [--jobs] split
-    ({!Shard.shard_of_var}), [rules] the run's rule histogram
+(** [pp] plus observability context in brackets: [shard] is the
+    work-item slot that analyzed the racy variable in a parallel run
+    ([Shard.shard_of_var] over the plan's slots), [rules] the run's rule histogram
     ({!Stats.rules_alist}; the top entries are printed).  Used by
     [ftrace analyze --verbose-stats]; the plain {!pp} line is a
     prefix, so grepping for it matches both renderings. *)

@@ -4,8 +4,8 @@ let name = "FastTrack+Accordion"
 
 (* Accordion keeps its own slot-compressed Gclock machinery (growable
    clocks, slot registry) rather than Vc_state/Clock_source: it cannot
-   resolve lookups against a shared Sync_timeline and keeps the legacy
-   broadcast plan under the parallel driver. *)
+   resolve lookups against a shared Sync_timeline, so
+   Driver.run_parallel runs it sequentially. *)
 let shares_clocks = false
 
 type var_state = {

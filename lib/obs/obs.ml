@@ -54,13 +54,3 @@ let observe t name v =
   match t with
   | None -> ()
   | Some e -> Obs_metrics.observe (Obs_metrics.histogram e.metrics name) v
-
-let shard_view = function
-  | None -> None
-  | Some e -> Some { e with metrics = Obs_metrics.create () }
-
-let merge ~into src =
-  match (into, src) with
-  | Some into, Some src ->
-    Obs_metrics.merge_into ~into:into.metrics src.metrics
-  | _ -> ()

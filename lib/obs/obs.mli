@@ -10,11 +10,10 @@
     the loop (see [Driver.run_packed]) — which is how the ≤5%%
     overhead budget of ISSUE 2 is met with margin.
 
-    The handle is the unit of merging: the parallel driver gives each
-    shard {!shard_view} and {!merge}s the shard registries back after
-    the region, mirroring [Stats.merge_into]; spans and GC samples
-    from all shards go to the {e shared} (mutex-protected) sink so
-    the timeline stays global. *)
+    One handle serves a whole run: registry updates happen on the
+    calling domain only, while spans and GC samples from every worker
+    go to the {e shared} (mutex-protected) sink so the timeline stays
+    global. *)
 
 type t
 
@@ -64,14 +63,3 @@ val bump : t -> string -> int -> unit
 val set_gauge : t -> string -> float -> unit
 val observe : t -> string -> float -> unit
 (** Cold-path histogram observation by name. *)
-
-(** {2 Sharding} *)
-
-val shard_view : t -> t
-(** A handle for one shard of a parallel region: fresh {e private}
-    metrics registry (merge it back with {!merge}), {e shared} span
-    sink and GC sampler.  {!disabled} maps to itself. *)
-
-val merge : into:t -> t -> unit
-(** Merge a shard view's registry into the parent's ({!Obs_metrics.merge_into}).
-    No-op if either side is disabled. *)

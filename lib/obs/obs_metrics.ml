@@ -1,5 +1,5 @@
 type counter = { mutable c : int }
-type gauge = { mutable g : float; mutable touched : bool }
+type gauge = { mutable g : float }
 
 (* 65 power-of-two buckets covering 2^-32 .. 2^32; index i holds
    samples with binary exponent i - 32 (value in [2^(e-1), 2^e)). *)
@@ -34,8 +34,7 @@ let find_or_add tbl name make =
 
 let counter t name = find_or_add t.counters name (fun () -> { c = 0 })
 
-let gauge t name =
-  find_or_add t.gauges name (fun () -> { g = 0.; touched = false })
+let gauge t name = find_or_add t.gauges name (fun () -> { g = 0. })
 
 let histogram t name =
   find_or_add t.histograms name (fun () ->
@@ -48,9 +47,7 @@ let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n
 let counter_value c = c.c
 
-let set g v =
-  g.g <- v;
-  g.touched <- true
+let set g v = g.g <- v
 
 let gauge_value g = g.g
 
@@ -108,22 +105,6 @@ let snapshot (t : t) =
   { counters = sorted_alist t.counters counter_value;
     gauges = sorted_alist t.gauges gauge_value;
     histograms = sorted_alist t.histograms histogram_snapshot }
-
-let merge_into ~into (src : t) =
-  Hashtbl.iter (fun name c -> add (counter into name) c.c) src.counters;
-  Hashtbl.iter
-    (fun name g -> if g.touched then set (gauge into name) g.g)
-    src.gauges;
-  Hashtbl.iter
-    (fun name (h : histogram) ->
-      let dst = histogram into name in
-      Array.iteri
-        (fun i n -> dst.buckets.(i) <- dst.buckets.(i) + n)
-        h.buckets;
-      dst.count <- dst.count + h.count;
-      dst.sum <- dst.sum +. h.sum;
-      if h.max_sample > dst.max_sample then dst.max_sample <- h.max_sample)
-    src.histograms
 
 let snapshot_to_json (s : snapshot) =
   Obs_json.obj

@@ -5,9 +5,9 @@
       setup; {e bumping} is the hot path and is a single unboxed
       mutation on a handle the caller retains — no hashing, no
       allocation, no branch beyond the caller's own enabled-guard;
-    - registries are {e not} synchronized: the parallel driver gives
-      each shard its own registry and merges them afterwards, exactly
-      like {!Stats.merge_into};
+    - registries are {e not} synchronized: only the domain that owns
+      the run updates them (workers report through spans and their
+      own {!Stats});
     - a {!snapshot} is an immutable copy safe to export after the
       hot region ends. *)
 
@@ -66,12 +66,6 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-
-val merge_into : into:t -> t -> unit
-(** Field-wise accumulation by name: counters and histogram buckets
-    add, gauges take the source's value when the source has set it
-    (shard-local gauges are rare; last writer wins, matching
-    {!Stats.merge_into}'s additive spirit for counts). *)
 
 val snapshot_to_json : snapshot -> Obs_json.t
 (** {v

@@ -28,10 +28,10 @@
     detector library: it deals in integer keys and display names, not
     [Var.t] or [Stats.t].
 
-    {b Sharding}: same discipline as [Obs_recorder] — each shard or
-    work item profiles into a private {!shard_view} (fresh cells,
-    fresh sketch), and the driver {!merge}s the views on the main
-    domain after the parallel region.  Variable sharding makes the
+    {b Sharding}: each work item of a parallel run profiles into a
+    private {!shard_view} (fresh cells, fresh sketch), and the driver
+    {!merge}s the views on the main domain after the parallel
+    region.  Variable sharding makes the
     per-key cells disjoint, so the merge is a move and the merged
     profile (including the top-K, see {!Obs_topk}) equals the
     sequential run's exactly. *)
@@ -170,7 +170,7 @@ val census_var :
 val take_census : t -> unit
 (** Run the registered walker (resetting previous census counts) and
     fold the cells into the top-K sketch.  Drivers call this at end
-    of run / shard / item, on the domain that owns the cells. *)
+    of run / item, on the domain that owns the cells. *)
 
 (** {2 Sharding} *)
 

@@ -153,28 +153,3 @@ let approx_words = function
         acc + !live)
       r.rings 0
     + Array.length r.held
-
-(* ------------------------------------------------------------------ *)
-(* Sharding                                                           *)
-
-let shard_view = function
-  | None -> None
-  | Some r ->
-    Some
-      { cap = r.cap;
-        rings = Hashtbl.create 64;
-        held = [||];
-        total = 0;
-        dropped = 0 }
-
-let merge ~into src =
-  match (into, src) with
-  | Some into, Some src ->
-    (* Variable sharding gives each key to exactly one shard, so the
-       rings are disjoint; a plain move preserves every ring.  (If a
-       key somehow appears on both sides, the source — the view that
-       actually recorded during the region — wins.) *)
-    Hashtbl.iter (fun k ring -> Hashtbl.replace into.rings k ring) src.rings;
-    into.total <- into.total + src.total;
-    into.dropped <- into.dropped + src.dropped
-  | _ -> ()

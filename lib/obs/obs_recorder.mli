@@ -24,13 +24,11 @@
       regardless of trace length (see DESIGN.md §"Recorder memory
       bounds").
 
-    Like the metrics registry, recorders are {e not} synchronized: the
-    parallel driver gives each shard a private {!shard_view} and
-    {!merge}s them after the region.  Variable sharding makes the
-    merge trivial — a shard only ever records accesses to keys it
-    owns, so the per-key rings of different shards are disjoint — and
-    each shard replays the full broadcast sync stream, so every view's
-    lock picture is the complete one.
+    Recorders are {e not} synchronized, and the held-lock picture
+    needs every lock operation in program order (it keeps acquisition
+    order, outermost first).  A recorder run is therefore sequential:
+    [Driver.run_parallel] falls back to [Driver.run] when the recorder
+    is enabled.
 
     The module lives in [ft_obs] and is deliberately type-agnostic:
     keys, thread ids, lock ids and epochs are plain [int]s (the
@@ -106,16 +104,3 @@ val approx_words : t -> int
     arrays they captured.  The documented bound is
     [vars_tracked x capacity x (entry header + fields)] plus the held
     locks; see DESIGN.md. *)
-
-(** {2 Sharding} *)
-
-val shard_view : t -> t
-(** A private recorder for one shard of a parallel region: same
-    capacity, fresh rings, fresh lock picture (the shard replays the
-    full broadcast sync stream, so its picture is complete).
-    {!disabled} maps to itself. *)
-
-val merge : into:t -> t -> unit
-(** Fold a shard view's rings and totals back into the parent.
-    Per-key rings are disjoint under variable sharding, so this is a
-    move, not an interleave.  No-op if either side is disabled. *)

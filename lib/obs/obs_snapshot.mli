@@ -65,8 +65,7 @@ val events_seen : t -> int
 
 val progress : total:int -> t -> float
 (** Fraction of the trace accounted for, clamped to [0..1] ([total]
-    is the trace length; static-plan broadcast replays can overshoot
-    and are clamped). *)
+    is the trace length). *)
 
 val eta : total:int -> t -> float
 (** Estimated seconds to completion from the mean rate so far; [0.]

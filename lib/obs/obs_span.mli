@@ -2,12 +2,13 @@
 
     A sink collects [(name, start, duration, attrs)] spans, all
     timestamped with wall-clock offsets from the sink's creation, so a
-    run's phases — plan / spawn / per-shard analyze / merge — line up
-    on one timeline even when recorded from different domains.
+    run's phases — prefix / parallel region / per-item analyze /
+    merge — line up on one timeline even when recorded from different
+    domains.
 
     The sink is mutex-protected: the parallel driver records one span
-    per shard from inside that shard's domain (one lock acquisition
-    per {e shard}, never per event). *)
+    per work item from inside the worker's domain (one lock
+    acquisition per {e item}, never per event). *)
 
 type attr = Int of int | Float of float | Str of string
 
@@ -34,9 +35,9 @@ val record :
   t -> name:string -> start:float -> duration:float ->
   ?attrs:(string * attr) list -> unit -> unit
 (** Record a span measured externally ([start] relative to the sink's
-    epoch, see {!now}); this is what the per-shard instrumentation
+    epoch, see {!now}); this is what the per-item instrumentation
     uses so the span can carry attributes computed after the fact
-    (owned accesses, broadcast replays). *)
+    (owned accesses, warnings). *)
 
 val spans : t -> span list
 (** All spans so far, ordered by start time. *)

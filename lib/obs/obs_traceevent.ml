@@ -2,15 +2,13 @@ let schema_version = "ftrace.trace/1"
 
 let usec s = s *. 1e6
 
-(* Virtual-thread placement: shard spans get their own rows so the
-   timeline shows per-shard lifetimes side by side. *)
+(* Virtual-thread placement: work-item spans get their own rows so the
+   timeline shows per-item lifetimes side by side. *)
 let tid_of_span (s : Obs_span.span) =
+  let name = s.Obs_span.name in
   match
-    if String.length s.Obs_span.name > 6
-       && String.sub s.Obs_span.name 0 6 = "shard-"
-    then
-      int_of_string_opt
-        (String.sub s.Obs_span.name 6 (String.length s.Obs_span.name - 6))
+    if String.length name > 5 && String.sub name 0 5 = "item-" then
+      int_of_string_opt (String.sub name 5 (String.length name - 5))
     else None
   with
   | Some n when n >= 0 -> n + 1
@@ -95,7 +93,7 @@ let document ?(prof = Obs_prof.disabled) t =
            metadata ~tid
              ~name:
                (if tid = 0 then "driver"
-                else Printf.sprintf "shard %d" (tid - 1)))
+                else Printf.sprintf "item %d" (tid - 1)))
          tids
   in
   let events =

@@ -1,19 +1,19 @@
 (** Chrome trace-event export of the span timeline.
 
-    Renders an enabled {!Obs.t}'s span sink — the [plan] /
-    [parallel.region] / [shard-N] / [merge] / [analyze] phase spans
+    Renders an enabled {!Obs.t}'s span sink — the [prefix] /
+    [parallel.region] / [item-N] / [merge] / [analyze] phase spans
     plus the zero-duration [race] instants recorded by [Race_log] —
     as a Trace Event Format JSON document loadable in Perfetto
-    ([https://ui.perfetto.dev]) or [chrome://tracing].  Shard spans
-    land on their own timeline rows, so the load imbalance the
-    [shards:] line summarizes as a single ratio becomes a visible gap:
-    an idle shard is literally white space on the timeline.
+    ([https://ui.perfetto.dev]) or [chrome://tracing].  Work-item
+    spans land on their own timeline rows, so the schedule the
+    [workers:] line summarizes as a single imbalance ratio becomes
+    visible.
 
     Mapping:
     - a span becomes one complete event ([ph = "X"]) with
       microsecond [ts]/[dur] relative to the sink's epoch;
-    - a span named [shard-N] is placed on virtual thread [N + 1]
-      (named ["shard N"]); everything else rides on thread 0
+    - a span named [item-N] is placed on virtual thread [N + 1]
+      (named ["item N"]); everything else rides on thread 0
       (["driver"]);
     - a zero-duration span named [race] becomes a global instant
       event ([ph = "i", s = "g"]) — a vertical marker at the moment

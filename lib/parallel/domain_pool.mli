@@ -1,8 +1,10 @@
 (** Fork-join execution over OCaml 5 domains.
 
-    A thin, allocation-light helper: no task queue, no work stealing —
-    one domain per task, joined in order.  Shard balance is the
-    caller's problem (see ROADMAP "work-stealing shard balance"). *)
+    Two allocation-light helpers: {!map} runs one domain per task,
+    joined in order; {!run_queue} builds on it a fixed set of workers
+    that pull tasks from a shared counter — the work-stealing queue
+    behind the parallel prefix's routing segments and the item queue
+    of [Driver.run_parallel]. *)
 
 val map : jobs:int -> (int -> 'a) -> 'a array
 (** [map ~jobs f] is [[| f 0; ...; f (jobs - 1) |]].  Task 0 runs on

@@ -4,13 +4,6 @@
 let now = Obs_clock.now
 let wall_time f = Obs_clock.wall_time f
 
-let map ?(obs = Obs.disabled) ~jobs f =
-  let jobs = max 1 jobs in
-  Obs.span obs "parallel.region"
-    ~attrs:[ ("jobs", Obs_span.Int jobs) ]
-    (fun () ->
-      wall_time (fun () -> Domain_pool.map ~jobs (fun shard -> f ~shard)))
-
 let queue ?(obs = Obs.disabled) ~jobs ~tasks f =
   let jobs = max 1 jobs in
   Obs.span obs "parallel.region"

@@ -5,16 +5,11 @@ type t = {
   accesses : int;
 }
 
-type kind = Static | Stealing
-
-let kind_to_string = function Static -> "static" | Stealing -> "stealing"
-
 type plan = {
   jobs : int;
-  kind : kind;
   slots : int;
   shards : t array;
-  broadcast : int;
+  syncs : int;
 }
 
 let shard_of_var = Var.owner_shard
@@ -25,36 +20,6 @@ let length s = Array.length s.indices
 
 let iteri f s =
   Array.iter (fun i -> f i (Trace.get s.trace i)) s.indices
-
-let plan ~jobs tr =
-  let jobs = max 1 jobs in
-  (* counting pass: per-shard owned accesses + broadcast size *)
-  let owned = Array.make jobs 0 in
-  let broadcast = ref 0 in
-  Trace.iter
-    (fun e ->
-      match e with
-      | Event.Read { x; _ } | Event.Write { x; _ } ->
-        let s = shard_of_var ~jobs x in
-        owned.(s) <- owned.(s) + 1
-      | _ -> incr broadcast)
-    tr;
-  let shard s =
-    let indices = Array.make (owned.(s) + !broadcast) (-1) in
-    let fill = ref 0 in
-    Trace.iter_shard ~jobs ~shard:s
-      (fun index _ ->
-        indices.(!fill) <- index;
-        incr fill)
-      tr;
-    assert (!fill = Array.length indices);
-    { shard_id = s; trace = tr; indices; accesses = owned.(s) }
-  in
-  { jobs;
-    kind = Static;
-    slots = jobs;
-    shards = Array.init jobs shard;
-    broadcast = !broadcast }
 
 (* Growable int array: the single-pass plan below appends trace
    indices without a counting pre-pass (the pre-pass was a measured
@@ -83,13 +48,13 @@ type prepass = {
   pp_eliminated : int;
 }
 
-(* Work-stealing plan: split the *accesses* (only — the shared sync
-   timeline replaces the broadcast) over [factor x jobs] fine-grained
-   items by object id, then order the items longest-first (LPT).
-   Workers pull items dynamically (Domain_pool.run_queue), so a hot
-   object pins at most one worker while the others drain the queue —
-   with enough items, measured imbalance drops toward 1.0 wherever the
-   static [obj mod jobs] split stranded hot objects on one shard.
+(* Work-stealing plan: split the *accesses* (only — sync events go to
+   the shared timeline) over [factor x jobs] fine-grained items by
+   object id, then order the items longest-first (LPT).  Workers pull
+   items dynamically (Domain_pool.run_queue), so a hot object pins at
+   most one worker while the others drain the queue — with enough
+   items, measured imbalance drops toward 1.0 where a fixed
+   [obj mod jobs] split would strand hot objects on one worker.
 
    A single trace pass fills per-slot growable index buffers and, on
    the side, collects everything [Sync_timeline.build_indexed] needs —
@@ -153,7 +118,7 @@ let plan_stealing_prepass ?(factor = default_steal_factor) ?skip ~jobs tr =
       if a.accesses <> b.accesses then Int.compare b.accesses a.accesses
       else Int.compare a.shard_id b.shard_id)
     shards;
-  ( { jobs; kind = Stealing; slots; shards; broadcast = sync.len },
+  ( { jobs; slots; shards; syncs = sync.len },
     { pp_nthreads = !max_tid + 1;
       pp_sync_indices = ibuf_contents sync;
       pp_eliminated = !eliminated } )
@@ -278,7 +243,7 @@ let concat_routes ~jobs routes tr =
   let eliminated =
     Array.fold_left (fun acc r -> acc + r.sr_eliminated) 0 routes
   in
-  ( { jobs; kind = Stealing; slots; shards; broadcast = sync_total },
+  ( { jobs; slots; shards; syncs = sync_total },
     { pp_nthreads = max_tid + 1;
       pp_sync_indices = concat_runs (fun r -> r.sr_sync) sync_total;
       pp_eliminated = eliminated } )
@@ -290,6 +255,3 @@ let imbalance_of_counts counts =
   else
     let mean = total /. float_of_int (Array.length counts) in
     Array.fold_left Float.max 0. counts /. mean
-
-let imbalance p =
-  imbalance_of_counts (Array.map (fun s -> s.accesses) p.shards)

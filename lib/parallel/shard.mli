@@ -8,29 +8,20 @@
     access event [rd(t,x)]/[wr(t,x)] is routed to exactly one shard,
     chosen by [x]'s object identifier ({!Var.owner_shard}).
 
-    Two plans handle the synchronization component:
+    The synchronization component is not split at all: it is replayed
+    once into the shared read-only [Sync_timeline], and the plan
+    ({!plan_stealing}) splits only the {e access events}, over
+    [factor x jobs] fine-grained items ([obj mod slots]) sorted
+    longest-first.  Workers pull items dynamically
+    ({!Domain_pool.run_queue}), so a hot object pins at most one
+    worker.
 
-    - {!plan} ({e static}): exactly [jobs] shards, [obj mod jobs];
-      every synchronization event is additionally {e broadcast} to all
-      shards, whose private sync state replays the full Figure 3 rule
-      sequence.  Simple, but the replay costs [jobs] x O(sync·VC)
-      redundant work and the modulo split can strand hot objects on
-      one shard — the measured causes of the original driver's
-      anti-scaling (see BENCH_parallel.json history and DESIGN.md).
-    - {!plan_stealing} ({e work stealing}): [factor x jobs]
-      fine-grained items of {e access events only} ([obj mod slots]),
-      sorted longest-first; sync state is resolved against the shared
-      read-only [Sync_timeline] built once, and workers pull items
-      dynamically ({!Domain_pool.run_queue}), so hot objects pin at
-      most one worker.
-
-    Because each split preserves the relative order of the events each
-    shard receives, and the original trace index travels with each
-    event, a detector run over a shard produces exactly the warnings
-    the sequential run produces for that shard's variables — with the
-    same trace indices and prior epochs (see DESIGN.md §"Parallel
-    sharded driver" and §"Sync timeline + work stealing" for the
-    argument). *)
+    Because the split preserves the relative order of the events each
+    item receives, and the original trace index travels with each
+    event, a detector run over an item produces exactly the warnings
+    the sequential run produces for that item's variables — with the
+    same trace indices and prior epochs (see DESIGN.md §"Sync
+    timeline + work stealing" for the argument). *)
 
 type t = {
   shard_id : int;
@@ -40,40 +31,19 @@ type t = {
   accesses : int;  (** read/write events owned by this shard *)
 }
 
-type kind =
-  | Static  (** [jobs] shards, sync broadcast, one domain each *)
-  | Stealing
-      (** [factor x jobs] access-only items over a shared sync
-          timeline, pulled dynamically by [jobs] workers *)
-
-val kind_to_string : kind -> string
-(** ["static"] / ["stealing"] — the [plan] field of benchmark records
-    and metrics documents. *)
-
 type plan = {
   jobs : int;
-  kind : kind;
-  slots : int;
-      (** number of shard work items: [= jobs] for [Static],
-          [factor x jobs] for [Stealing] *)
+  slots : int;  (** number of work items, [factor x jobs] *)
   shards : t array;
-      (** length [slots]; shard-id order for [Static], LPT
-          (descending accesses, ties by shard id) for [Stealing] *)
-  broadcast : int;
-      (** number of non-access events: replicated to every shard under
-          [Static] (the duplicated-work term of the cost model),
-          replayed exactly once into the sync timeline under
-          [Stealing] *)
+      (** length [slots], LPT order (descending accesses, ties by
+          shard id) *)
+  syncs : int;
+      (** number of non-access events, replayed exactly once into the
+          sync timeline *)
 }
 
 val shard_of_var : jobs:int -> Var.t -> int
 (** Alias for {!Var.owner_shard}. *)
-
-val plan : jobs:int -> Trace.t -> plan
-(** Materializes the legacy [max 1 jobs]-way static split (access
-    events + full sync broadcast per shard).  One counting pass plus
-    one {!Trace.iter_shard} per shard; only index arrays are
-    allocated, events are never copied. *)
 
 type prepass = {
   pp_nthreads : int;  (** max tid over every event, + 1 *)
@@ -165,14 +135,8 @@ val iteri : (int -> Event.t -> unit) -> t -> unit
 (** [iteri f s] calls [f original_trace_index event] for every event
     of the shard, in trace order. *)
 
-val imbalance : plan -> float
-(** Max over mean of per-shard owned-access counts (1.0 = perfectly
-    balanced).  For a [Stealing] plan this measures the {e items},
-    not the workers — the driver reports the per-worker figure, which
-    is what work stealing drives toward 1.0. *)
-
 val imbalance_of_counts : int array -> float
-(** The same max-over-mean statistic on a bare count array;
+(** Max over mean of the counts (1.0 = perfectly balanced).
     [Driver.run_parallel] computes it from per-worker access totals so
     the measurement costs no extra trace pass, and it is exported in
     [ftrace analyze -j] output and [Bench_json] records.  Empty or

@@ -28,7 +28,7 @@ type lock_checkpoint = {
 
 type stats = {
   sync_events : int;
-  other_events : int;  (* broadcastable non-sync events (txn markers) *)
+  other_events : int;  (* non-sync, non-access events (txn markers) *)
   vc_ops : int;  (* O(n) clock operations of the replay, as Vc_state counts *)
   vc_allocs : int;  (* live-machine clock allocations *)
   checkpoints : int;  (* clock checkpoints recorded across all threads *)

@@ -44,7 +44,7 @@ type t
 type stats = {
   sync_events : int;  (** sync events replayed (once, total) *)
   other_events : int;
-      (** broadcastable non-sync, non-access events (txn markers) *)
+      (** non-sync, non-access events (txn markers) *)
   vc_ops : int;  (** O(n) clock operations, counted as [Vc_state] does *)
   vc_allocs : int;  (** live-machine clock allocations *)
   checkpoints : int;  (** clock checkpoints recorded across all threads *)

@@ -9,15 +9,6 @@ let iter = Array.iter
 let iteri = Array.iteri
 let fold f init tr = Array.fold_left f init tr
 
-let iter_shard ~jobs ~shard f tr =
-  for i = 0 to Array.length tr - 1 do
-    let e = Array.unsafe_get tr i in
-    match e with
-    | Event.Read { x; _ } | Event.Write { x; _ } ->
-      if Var.owner_shard ~jobs x = shard then f i e
-    | _ -> f i e
-  done
-
 let iter_range ~lo ~hi f tr =
   let hi = min hi (Array.length tr) in
   for i = max 0 lo to hi - 1 do

@@ -1,8 +1,8 @@
 (* The live telemetry bus's contract (ISSUE 7):
 
    1. the bus NEVER changes analysis results: warnings and witnesses
-      are identical with --live on vs off, sequentially and under both
-      parallel plans (the bus observes, it does not steer);
+      are identical with --live on vs off, sequentially and in
+      parallel (the bus observes, it does not steer);
    2. the stream is a valid ftrace.live/1 document: header first,
       monotone cum_events, loss-free delta encoding (summing deltas
       reproduces the cumulative counters), and the final record's
@@ -12,8 +12,8 @@
       derived figures (progress, fast-path share, imbalance) behave
       at the edges;
    4. satellite coverage: Obs_metrics histograms at the edge buckets
-      (zero, negative, max_int) and Obs.merge of empty/disabled shard
-      views; Obs_cores as the single sizing authority;
+      (zero, negative, max_int); Obs_cores as the single sizing
+      authority;
    5. ftrace watch's state machine reproduces the stream's verdict
       from the NDJSON alone. *)
 
@@ -28,7 +28,7 @@ let trace_of name =
 
 (* Run [d] on [tr] with the live bus writing to a temp file; return
    the result and the stream's lines. *)
-let run_live ?jobs ?plan d tr =
+let run_live ?jobs d tr =
   let path = Filename.temp_file "ftlive" ".ndjson" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -42,7 +42,7 @@ let run_live ?jobs ?plan d tr =
       let r =
         match jobs with
         | None -> Driver.run ~config d tr
-        | Some jobs -> Driver.run_parallel ~config ~jobs ?plan d tr
+        | Some jobs -> Driver.run_parallel ~config ~jobs d tr
       in
       Obs_live.close live;
       let ic = open_in path in
@@ -97,20 +97,17 @@ let test_invariance_seq () =
     [ "raytracer"; "moldyn"; "hedc" ]
 
 let test_invariance_parallel () =
-  List.iter
-    (fun plan ->
-      let tr = trace_of "raytracer" in
-      let off = Driver.run_parallel ~jobs:3 ~plan fasttrack tr in
-      let on, _ = run_live ~jobs:3 ~plan fasttrack tr in
-      check_same_verdict off on)
-    [ Shard.Static; Shard.Stealing ]
+  let tr = trace_of "raytracer" in
+  let off = Driver.run_parallel ~jobs:3 fasttrack tr in
+  let on, _ = run_live ~jobs:3 fasttrack tr in
+  check_same_verdict off on
 
 (* ------------------------------------------------------------------ *)
 (* 2. stream schema, monotonicity, delta/final consistency            *)
 
-let check_stream ?jobs ?plan name =
+let check_stream ?jobs ?(d = fasttrack) name =
   let tr = trace_of name in
-  let r, lines = run_live ?jobs ?plan fasttrack tr in
+  let r, lines = run_live ?jobs d tr in
   let header, records = parse_stream lines in
   Alcotest.(check string)
     "schema" "ftrace.live/1" (J.str header "schema");
@@ -158,10 +155,12 @@ let check_stream ?jobs ?plan name =
     (!summed.Obs_snapshot.events + !summed.Obs_snapshot.eliminated)
 
 let test_stream_seq () = check_stream "raytracer"
-let test_stream_static () = check_stream ~jobs:3 ~plan:Shard.Static "hedc"
+(* a tool that does not share clocks runs sequentially under --jobs:
+   its stream is the sequential one *)
+let test_stream_fallback () =
+  check_stream ~jobs:3 ~d:(module Goldilocks) "hedc"
 
-let test_stream_stealing () =
-  check_stream ~jobs:3 ~plan:Shard.Stealing "raytracer"
+let test_stream_stealing () = check_stream ~jobs:3 "raytracer"
 
 (* ------------------------------------------------------------------ *)
 (* 3. snapshot arithmetic and derived figures                         *)
@@ -194,7 +193,7 @@ let test_derived_figures () =
   (* events_seen counts eliminated accesses as progress *)
   Alcotest.(check int) "events_seen" 105 (events_seen s);
   Alcotest.(check (float 1e-9)) "progress" 0.5 (progress ~total:210 s);
-  (* overshoot clamps (static-plan broadcast replays) *)
+  (* overshoot clamps *)
   Alcotest.(check (float 1e-9)) "progress clamps" 1.0 (progress ~total:50 s);
   Alcotest.(check (float 1e-9)) "unknown total reads as no progress" 0.
     (progress ~total:0 s);
@@ -284,32 +283,6 @@ let test_histogram_edges () =
   Alcotest.(check int) "nothing else" 7
     (List.fold_left (fun a (_, n) -> a + n) 0 hs.Obs_metrics.buckets)
 
-let test_merge_empty_views () =
-  (* merging an untouched shard view is a no-op *)
-  let parent = Obs.create () in
-  Obs.bump parent "x" 3;
-  let view = Obs.shard_view parent in
-  Obs.merge ~into:parent view;
-  (match Obs.metrics parent with
-  | None -> Alcotest.fail "enabled obs has metrics"
-  | Some m ->
-    let s = Obs_metrics.snapshot m in
-    Alcotest.(check bool) "counters unchanged" true
-      (s.Obs_metrics.counters = [ ("x", 3) ]));
-  (* a disabled handle's shard view is disabled; merging disabled
-     into enabled (and vice versa) is a no-op, not a crash *)
-  let disabled_view = Obs.shard_view Obs.disabled in
-  Alcotest.(check bool) "disabled view stays disabled" false
-    (Obs.is_enabled disabled_view);
-  Obs.merge ~into:parent disabled_view;
-  Obs.merge ~into:Obs.disabled (Obs.shard_view parent);
-  (match Obs.metrics parent with
-  | None -> Alcotest.fail "enabled obs has metrics"
-  | Some m ->
-    let s = Obs_metrics.snapshot m in
-    Alcotest.(check bool) "still unchanged" true
-      (s.Obs_metrics.counters = [ ("x", 3) ]))
-
 let test_cores_authority () =
   let c = Obs_cores.recommended () in
   Alcotest.(check bool) "at least one core" true (c >= 1);
@@ -354,8 +327,8 @@ let suite =
         `Quick test_invariance_parallel;
       Alcotest.test_case "stream: sequential schema + totals" `Quick
         test_stream_seq;
-      Alcotest.test_case "stream: static plan schema + totals" `Quick
-        test_stream_static;
+      Alcotest.test_case "stream: sequential fallback schema + totals"
+        `Quick test_stream_fallback;
       Alcotest.test_case "stream: stealing plan schema + totals" `Quick
         test_stream_stealing;
       Alcotest.test_case "snapshot: exact counter arithmetic" `Quick
@@ -366,8 +339,6 @@ let suite =
         test_merge_snapshots;
       Alcotest.test_case "histograms: zero/negative/max_int edges" `Quick
         test_histogram_edges;
-      Alcotest.test_case "obs: merge of empty/disabled shard views" `Quick
-        test_merge_empty_views;
       Alcotest.test_case "cores: one sizing authority" `Quick
         test_cores_authority;
       Alcotest.test_case "watch: replays a stream to the verdict" `Quick

@@ -204,28 +204,6 @@ let test_registry () =
   Alcotest.(check int) "bucket e=2" 1 (bucket 2);
   Alcotest.(check int) "clamped bucket" 2 (bucket (-32))
 
-let test_registry_merge () =
-  let a = Obs_metrics.create () in
-  let b = Obs_metrics.create () in
-  Obs_metrics.add (Obs_metrics.counter a "n") 3;
-  Obs_metrics.add (Obs_metrics.counter b "n") 4;
-  Obs_metrics.add (Obs_metrics.counter b "only_b") 1;
-  Obs_metrics.observe (Obs_metrics.histogram a "h") 1.0;
-  Obs_metrics.observe (Obs_metrics.histogram b "h") 2.0;
-  Obs_metrics.set (Obs_metrics.gauge b "g") 7.0;
-  Obs_metrics.merge_into ~into:a b;
-  let snap = Obs_metrics.snapshot a in
-  Alcotest.(check int) "counters add" 7
-    (List.assoc "n" snap.Obs_metrics.counters);
-  Alcotest.(check int) "source-only counter adopted" 1
-    (List.assoc "only_b" snap.Obs_metrics.counters);
-  Alcotest.(check (float 1e-9)) "touched gauge propagates" 7.0
-    (List.assoc "g" snap.Obs_metrics.gauges);
-  let hs = List.assoc "h" snap.Obs_metrics.histograms in
-  Alcotest.(check int) "histogram counts add" 2 hs.Obs_metrics.count;
-  Alcotest.(check (float 1e-9)) "histogram sums add" 3.0
-    hs.Obs_metrics.sum
-
 (* ------------------------------------------------------------------ *)
 (* Spans                                                              *)
 
@@ -269,20 +247,16 @@ let test_spans () =
 
 let jobs = 4
 
-let metrics_doc ?plan () =
+let metrics_doc ?(d = (module Fasttrack : Detector.S)) () =
   let w = Option.get (Workloads.find "raytracer") in
   let tr = Workload.trace ~seed:11 ~scale:1 w in
   let obs = Obs.create ~gc_every:1024 () in
   let config = Config.with_obs obs Config.default in
-  let result =
-    Driver.run_parallel ~config ~jobs ?plan (module Fasttrack) tr
-  in
+  let result = Driver.run_parallel ~config ~jobs d tr in
   (Driver.export_metrics ~source:"raytracer" ~obs result, result)
 
 let test_metrics_schema () =
-  (* force the legacy static plan: this test pins the per-shard span
-     and table schema; the stealing-plan document has its own test *)
-  let doc, result = metrics_doc ~plan:Shard.Static () in
+  let doc, result = metrics_doc () in
   let j = parse_json doc in
   Alcotest.(check string) "schema version" "ftrace.obs/1"
     (as_str (member "schema" j));
@@ -298,7 +272,7 @@ let test_metrics_schema () =
     Alcotest.fail "driver.events not counted";
   ignore (member "gauges" (member "metrics" j));
   ignore (member "histograms" (member "metrics" j));
-  (* span timeline: plan, region, one span per shard, merge *)
+  (* span timeline: prefix, region, merge *)
   let spans = as_arr (member "spans" j) in
   let span_names =
     List.map (fun s -> as_str (member "name" s)) spans
@@ -308,8 +282,7 @@ let test_metrics_schema () =
       if not (List.mem expected span_names) then
         Alcotest.failf "missing span %S (have: %s)" expected
           (String.concat ", " span_names))
-    ([ "plan"; "parallel.region"; "merge" ]
-    @ List.init jobs (Printf.sprintf "shard-%d"));
+    [ "prefix"; "parallel.region"; "merge" ];
   List.iter
     (fun s ->
       if as_num (member "duration_s" s) < 0. then
@@ -339,14 +312,23 @@ let test_metrics_schema () =
       Alcotest.failf
         "GC live words (%.0f) below hand-counted shadow peak (%.0f)" live
         peak);
-  (* run section: per-shard table + imbalance *)
+  (* run section: per-worker table + imbalance *)
   let run = member "run" j in
   Alcotest.(check string) "run.source" "raytracer"
     (as_str (member "source" run));
   Alcotest.(check (float 1e-9)) "run.jobs" (float_of_int jobs)
     (as_num (member "jobs" run));
+  Alcotest.(check string) "run.plan" "stealing" (as_str (member "plan" run));
   let shards = as_arr (member "shards" run) in
   Alcotest.(check int) "one shard entry per job" jobs (List.length shards);
+  List.iter
+    (fun s ->
+      Alcotest.(check (list string)) "shard entry keys"
+        [ "shard"; "accesses"; "wall_s"; "warnings" ]
+        (match s with
+        | Obj kvs -> List.map fst kvs
+        | _ -> Alcotest.fail "shard entry is not an object"))
+    shards;
   let accesses_sum =
     List.fold_left
       (fun acc s -> acc + int_of_float (as_num (member "accesses" s)))
@@ -375,14 +357,24 @@ let test_metrics_schema () =
     0. (as_num (member "sampled" stats));
   Alcotest.(check (float 1e-9)) "run.stats.skipped is 0 for FastTrack"
     0. (as_num (member "skipped" stats));
-  ignore (member "rules" run)
+  ignore (member "rules" run);
+  (* a run that comes back sequential (a tool that does not share
+     clocks) says so: plan "sequential", one job, no worker table *)
+  let doc, _ = metrics_doc ~d:(module Goldilocks) () in
+  let run = member "run" (parse_json doc) in
+  Alcotest.(check string) "sequential run.plan" "sequential"
+    (as_str (member "plan" run));
+  Alcotest.(check (float 1e-9)) "sequential run.jobs" 1.
+    (as_num (member "jobs" run));
+  Alcotest.(check int) "sequential run has no worker table" 0
+    (List.length (as_arr (member "shards" run)))
 
 (* The work-stealing plan's document: prefix spans (the umbrella plus
    its route/timeline phases), the queue region, merge; plan/slots and
    prefix accounting fields in the run section; per-worker shard table
    still partitions the accesses. *)
 let test_metrics_schema_stealing () =
-  let doc, result = metrics_doc ~plan:Shard.Stealing () in
+  let doc, result = metrics_doc () in
   let j = parse_json doc in
   let spans = as_arr (member "spans" j) in
   let span_names =
@@ -501,12 +493,9 @@ let test_elapsed_units () =
     (Array.length seq.Driver.shards);
   Alcotest.(check (float 1e-9)) "seq imbalance 1.0" 1.0
     seq.Driver.imbalance;
-  (* static plan: the shard table and imbalance are exactly the
-     materialized plan's (the stealing plan's per-worker figures are
-     schedule-dependent and covered by the stealing document test) *)
-  let par =
-    Driver.run_parallel ~jobs:3 ~plan:Shard.Static (module Fasttrack) tr
-  in
+  (* the per-worker figures are schedule-dependent, but they always
+     partition the accesses and summarize into [imbalance] *)
+  let par = Driver.run_parallel ~jobs:3 (module Fasttrack) tr in
   if par.Driver.wall < 0. then Alcotest.fail "negative parallel wall";
   Alcotest.(check int) "par shard table" 3 (Array.length par.Driver.shards);
   let reads, writes, _ = Trace.counts tr in
@@ -518,16 +507,14 @@ let test_elapsed_units () =
   Alcotest.(check int) "shard_info partitions accesses" (reads + writes)
     owned;
   if par.Driver.imbalance < 1.0 then Alcotest.fail "imbalance < 1";
-  (* cross-check against the materialized plan *)
-  let plan = Shard.plan ~jobs:3 tr in
-  Alcotest.(check (float 1e-6)) "imbalance matches Shard.plan"
-    (Shard.imbalance plan) par.Driver.imbalance
+  Alcotest.(check (float 1e-6)) "imbalance summarizes the worker table"
+    (Shard.imbalance_of_counts
+       (Array.map (fun si -> si.Driver.shard_accesses) par.Driver.shards))
+    par.Driver.imbalance
 
 let suite =
   ( "obs",
     [ Alcotest.test_case "metrics registry snapshot" `Quick test_registry;
-      Alcotest.test_case "metrics registry merge" `Quick
-        test_registry_merge;
       Alcotest.test_case "span sink" `Quick test_spans;
       Alcotest.test_case "--metrics document schema (ftrace.obs/1)"
         `Quick test_metrics_schema;

@@ -3,10 +3,12 @@
    synchronization-event prefix, the variable-sharded run is
    warning-for-warning identical to the sequential run — same
    variables, kinds, trace indices and prior epochs — and its merged
-   stats are the sum of the per-shard counters.  This suite checks
+   stats are the sum of the per-item counters.  This suite checks
    both halves on every built-in workload at jobs ∈ {1, 3, 8}, on a
    dedicated barrier + fork/join + volatile workload that exercises
-   the sync-broadcast path, and under every shadow granularity. *)
+   every sync-timeline rule, and under every shadow granularity.
+   Detectors that do not share clocks, and flight-recorder runs, come
+   back from [run_parallel] as the sequential run itself. *)
 
 let warning : Warning.t Alcotest.testable =
   Alcotest.testable Warning.pp (fun (a : Warning.t) b -> a = b)
@@ -20,22 +22,17 @@ let witnesses_t = Alcotest.list witness
 
 let jobs_list = [ 1; 3; 8 ]
 
-(* Both parallel plans must agree with the sequential run; only the
-   events accounting differs.  Static broadcasts every sync event to
-   all [jobs] shards ([jobs * other] replays); Stealing replays the
-   sync prefix exactly once into the shared timeline, so merged
+(* The parallel run must agree with the sequential one.  The sync
+   prefix is replayed exactly once into the shared timeline, so merged
    events equal the trace length. *)
-let check_plan ?config name d tr ~seq ~jobs plan =
-  let par = Driver.run_parallel ?config ~jobs ~plan d tr in
-  let name =
-    Printf.sprintf "%s [%s]" name (Shard.kind_to_string plan)
-  in
-  Alcotest.check
-    (Alcotest.testable
-       (fun ppf k -> Format.pp_print_string ppf (Shard.kind_to_string k))
-       ( = ))
-    (Printf.sprintf "%s: plan honoured, %d jobs" name jobs)
-    plan par.Driver.plan_kind;
+let check_jobs ?config name (d : (module Detector.S)) tr ~seq ~jobs =
+  let module D = (val d) in
+  let par = Driver.run_parallel ?config ~jobs d tr in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: workers ran iff the tool shares clocks, %d jobs"
+       name jobs)
+    D.shares_clocks
+    (Array.length par.Driver.shards > 0);
   Alcotest.check warnings_t
     (Printf.sprintf "%s: warnings, %d jobs" name jobs)
     seq.Driver.warnings par.Driver.warnings;
@@ -43,9 +40,8 @@ let check_plan ?config name d tr ~seq ~jobs plan =
     (Printf.sprintf "%s: witnesses, %d jobs" name jobs)
     seq.Driver.witnesses par.Driver.witnesses;
   (* summed stats: accesses are partitioned (each counted once across
-     all shards / items) under both plans *)
+     all items) *)
   let reads, writes, _ = Trace.counts tr in
-  let other = Trace.length tr - reads - writes in
   let s = par.Driver.stats in
   Alcotest.(check int)
     (Printf.sprintf "%s: summed reads, %d jobs" name jobs)
@@ -55,12 +51,9 @@ let check_plan ?config name d tr ~seq ~jobs plan =
     writes s.Stats.writes;
   Alcotest.(check int)
     (Printf.sprintf "%s: summed events, %d jobs" name jobs)
-    (match plan with
-    | Shard.Static -> reads + writes + (jobs * other)
-    | Shard.Stealing -> Trace.length tr)
-    s.Stats.events;
-  (* access-path rule counters are access-driven, so their shard sum
-     must equal the sequential count exactly under either plan *)
+    (Trace.length tr) s.Stats.events;
+  (* access-path rule counters are access-driven, so their item sum
+     must equal the sequential count exactly *)
   List.iter
     (fun rule ->
       Alcotest.(check int)
@@ -72,16 +65,8 @@ let check_plan ?config name d tr ~seq ~jobs plan =
       "WRITE SHARED" ]
 
 let check_equivalence ?config name (d : (module Detector.S)) tr =
-  let module D = (val d) in
   let seq = Driver.run ?config d tr in
-  let plans =
-    if D.shares_clocks then [ Shard.Static; Shard.Stealing ]
-    else [ Shard.Static ]
-  in
-  List.iter
-    (fun jobs ->
-      List.iter (check_plan ?config name d tr ~seq ~jobs) plans)
-    jobs_list
+  List.iter (fun jobs -> check_jobs ?config name d tr ~seq ~jobs) jobs_list
 
 let test_all_workloads () =
   List.iter
@@ -90,7 +75,7 @@ let test_all_workloads () =
       check_equivalence w.name (module Fasttrack) tr)
     Workloads.all
 
-(* A workload purpose-built to stress the sync-broadcast path: barrier
+(* A workload purpose-built to stress the sync timeline: barrier
    phases, fork/join ordering, volatile handoff, and one real race. *)
 let broadcast_heavy_trace () =
   let a = Patterns.alloc () in
@@ -102,7 +87,7 @@ let broadcast_heavy_trace () =
   let workers = [ 1; 2; 3 ] in
   let phase i p =
     (* write own slice, barrier, read the neighbour's — race-free
-       only because of the broadcast barrier_rel edge *)
+       only because of the barrier_rel edge *)
     Patterns.work ~reads:2 ~writes:2 slices.(i)
     @ [ Program.Barrier_wait b ]
     @ Patterns.read_only ~reads:2 slices.((i + p) mod 3)
@@ -177,46 +162,6 @@ let test_granularities () =
         ~config (module Fasttrack) tr)
     [ Shadow.Fine; Shadow.Coarse; Shadow.Adaptive ]
 
-(* Shard planning invariants: accesses partitioned, sync broadcast,
-   per-shard order = trace order, original indices preserved. *)
-let test_shard_plan () =
-  let tr = broadcast_heavy_trace () in
-  let jobs = 3 in
-  let plan = Shard.plan ~jobs tr in
-  Alcotest.(check int) "shard count" jobs (Array.length plan.Shard.shards);
-  let reads, writes, other = Trace.counts tr in
-  ignore other;
-  let owned =
-    Array.fold_left
-      (fun acc (s : Shard.t) -> acc + s.Shard.accesses)
-      0 plan.Shard.shards
-  in
-  Alcotest.(check int) "accesses partitioned" (reads + writes) owned;
-  Array.iter
-    (fun (s : Shard.t) ->
-      Alcotest.(check int)
-        (Printf.sprintf "shard %d length" s.Shard.shard_id)
-        (s.Shard.accesses + plan.Shard.broadcast)
-        (Shard.length s);
-      let last = ref (-1) in
-      Shard.iteri
-        (fun index e ->
-          if index <= !last then
-            Alcotest.failf "shard %d: indices not increasing" s.shard_id;
-          last := index;
-          if not (Event.equal e (Trace.get tr index)) then
-            Alcotest.failf "shard %d: event/index mismatch at %d"
-              s.shard_id index;
-          (match e with
-          | Event.Read { x; _ } | Event.Write { x; _ } ->
-            Alcotest.(check int)
-              "access routed to its owner shard"
-              (Shard.shard_of_var ~jobs x)
-              s.shard_id
-          | _ -> ()))
-        s)
-    plan.Shard.shards
-
 (* Work-stealing plan invariants: access-only items, accesses
    partitioned across [factor x jobs] slots by [obj mod slots],
    LPT order (descending owned-access counts), indices increasing. *)
@@ -231,7 +176,7 @@ let test_stealing_plan () =
     (Array.length plan.Shard.shards);
   let reads, writes, other = Trace.counts tr in
   Alcotest.(check int) "sync events counted once" other
-    plan.Shard.broadcast;
+    plan.Shard.syncs;
   let owned =
     Array.fold_left
       (fun acc (s : Shard.t) -> acc + s.Shard.accesses)
@@ -271,8 +216,8 @@ let test_stealing_plan () =
     plan.Shard.shards
 
 (* Adversarial hot object: one variable absorbs > 90% of all accesses.
-   Under the static plan this strands nearly everything on one shard;
-   work stealing confines it to one item (pinning at most one worker)
+   A fixed [obj mod jobs] split would strand nearly everything on one
+   worker; work stealing confines it to one item (pinning at most one worker)
    while the other items drain dynamically — and the merged output
    must still be byte-identical to sequential. *)
 let hot_object_trace () =
@@ -321,6 +266,53 @@ let test_hot_object () =
   check_equivalence "hot-object" (module Fasttrack) tr;
   check_equivalence "hot-object/eraser" (module Eraser) tr
 
+(* The stealing plan needs clock-sharing detectors and a disabled
+   flight recorder (its held-lock picture keeps acquisition order).
+   Anything else runs sequentially on the calling domain: the result —
+   warnings, witnesses and every recorder ring — is the sequential
+   run's, with no worker table. *)
+let recorder_entries r =
+  List.map (fun key -> (key, Obs_recorder.entries r ~key)) (Obs_recorder.keys r)
+
+let test_sequential_fallback () =
+  List.iter
+    (fun name ->
+      let w = Option.get (Workloads.find name) in
+      let tr = Workload.trace ~seed:11 ~scale:1 w in
+      List.iter
+        (fun (tool, d, recording) ->
+          let run f =
+            let recorder =
+              if recording then Obs_recorder.create () else Obs_recorder.disabled
+            in
+            let r = f (Config.with_recorder recorder Config.default) in
+            (r, recorder_entries recorder)
+          in
+          let seq, seq_rec = run (fun config -> Driver.run ~config d tr) in
+          let par, par_rec =
+            run (fun config -> Driver.run_parallel ~config ~jobs:3 d tr)
+          in
+          let name = Printf.sprintf "%s/%s" name tool in
+          Alcotest.check warnings_t (name ^ ": warnings")
+            seq.Driver.warnings par.Driver.warnings;
+          Alcotest.check witnesses_t (name ^ ": witnesses")
+            seq.Driver.witnesses par.Driver.witnesses;
+          Alcotest.(check bool) (name ^ ": recorder entries") true
+            (seq_rec = par_rec);
+          (* FastTrack fills the rings; Goldilocks records nothing *)
+          if recording && tool = "fasttrack+recorder" then
+            Alcotest.(check bool) (name ^ ": recorder saw accesses") true
+              (par_rec <> []);
+          Alcotest.(check int) (name ^ ": no workers") 0
+            (Array.length par.Driver.shards);
+          Alcotest.(check (float 0.)) (name ^ ": imbalance") 1.0
+            par.Driver.imbalance)
+        [ ("fasttrack+recorder", (module Fasttrack : Detector.S), true);
+          ("goldilocks", (module Goldilocks), false);
+          ("goldilocks+recorder", (module Goldilocks), true);
+          ("accordion", (module Fasttrack_accordion), false) ])
+    [ "hedc"; "raytracer" ]
+
 (* More shards than objects / than events: empty shards are legal. *)
 let test_degenerate_jobs () =
   let a = Patterns.alloc () in
@@ -355,9 +347,10 @@ let suite =
         test_other_detectors;
       Alcotest.test_case "fine/coarse/adaptive granularities" `Quick
         test_granularities;
-      Alcotest.test_case "shard plan invariants" `Quick test_shard_plan;
       Alcotest.test_case "stealing plan invariants" `Quick
         test_stealing_plan;
       Alcotest.test_case "adversarial hot object" `Quick test_hot_object;
+      Alcotest.test_case "recorder and non-sharing runs are sequential"
+        `Quick test_sequential_fallback;
       Alcotest.test_case "degenerate shard counts" `Quick
         test_degenerate_jobs ] )

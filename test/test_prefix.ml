@@ -39,7 +39,7 @@ let check_plan_equal name (pa : Shard.plan) (pb : Shard.plan) =
   Alcotest.(check int) (name ^ ": jobs") pa.Shard.jobs pb.Shard.jobs;
   Alcotest.(check int) (name ^ ": slots") pa.Shard.slots pb.Shard.slots;
   Alcotest.(check int)
-    (name ^ ": broadcast") pa.Shard.broadcast pb.Shard.broadcast;
+    (name ^ ": syncs") pa.Shard.syncs pb.Shard.syncs;
   Alcotest.(check int)
     (name ^ ": shard count")
     (Array.length pa.Shard.shards)

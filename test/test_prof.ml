@@ -2,8 +2,8 @@
 
    1. the profiler NEVER changes analysis results: warnings and
       witnesses are identical with profiling on vs off, sequentially
-      and under both parallel plans (attribution observes the rules,
-      it does not steer them);
+      and in parallel (attribution observes the rules, it does not
+      steer them);
    2. the Space-Saving sketch honours its bounds: size <= capacity,
       eviction inherits the evicted minimum as the error bound
       (true <= count <= true + err), and merging disjoint shard
@@ -130,16 +130,11 @@ let test_invariance_seq () =
     [ "raytracer"; "moldyn"; "hedc" ]
 
 let test_invariance_parallel () =
-  List.iter
-    (fun plan ->
-      let tr = trace_of "raytracer" in
-      let off = Driver.run_parallel ~jobs:3 ~plan fasttrack tr in
-      let config =
-        Config.with_prof (Obs_prof.create ()) Config.default
-      in
-      let on = Driver.run_parallel ~config ~jobs:3 ~plan fasttrack tr in
-      check_same_verdict off on)
-    [ Shard.Static; Shard.Stealing ]
+  let tr = trace_of "raytracer" in
+  let off = Driver.run_parallel ~jobs:3 fasttrack tr in
+  let config = Config.with_prof (Obs_prof.create ()) Config.default in
+  let on = Driver.run_parallel ~config ~jobs:3 fasttrack tr in
+  check_same_verdict off on
 
 let test_invariance_static_elim () =
   List.iter
@@ -163,38 +158,34 @@ let test_invariance_static_elim () =
 (* ------------------------------------------------------------------ *)
 (* 3. merged parallel profile = sequential oracle                     *)
 
-let profile_of ?jobs ?plan name =
+let profile_of ?jobs name =
   let tr = trace_of name in
   let prof = Obs_prof.create () in
   let config = Config.with_prof prof Config.default in
   (match jobs with
   | None -> ignore (Driver.run ~config fasttrack tr)
   | Some jobs ->
-    ignore (Driver.run_parallel ~config ~jobs ?plan fasttrack tr));
+    ignore (Driver.run_parallel ~config ~jobs fasttrack tr));
   prof
 
 let by_name l = List.sort (fun (a, _) (b, _) -> compare a b) l
 
 let test_parallel_merge_oracle () =
   let seq = profile_of "hedc" in
-  List.iter
-    (fun plan ->
-      let par = profile_of ~jobs:3 ~plan "hedc" in
-      Alcotest.(check int)
-        "attributed accesses" (Obs_prof.accesses seq)
-        (Obs_prof.accesses par);
-      Alcotest.(check int)
-        "vc walks" (Obs_prof.vc_walks seq) (Obs_prof.vc_walks par);
-      Alcotest.(check int)
-        "census population" (Obs_prof.inflated_now seq)
-        (Obs_prof.inflated_now par);
-      (* per-variable attribution merges to the sequential counts
-         (disjoint keys under variable sharding: merge is a move) *)
-      Alcotest.(check (list (pair string int)))
-        "per-variable ops"
-        (by_name (Obs_prof.hot_alist ~k:10_000 seq))
-        (by_name (Obs_prof.hot_alist ~k:10_000 par)))
-    [ Shard.Static; Shard.Stealing ]
+  let par = profile_of ~jobs:3 "hedc" in
+  Alcotest.(check int)
+    "attributed accesses" (Obs_prof.accesses seq) (Obs_prof.accesses par);
+  Alcotest.(check int)
+    "vc walks" (Obs_prof.vc_walks seq) (Obs_prof.vc_walks par);
+  Alcotest.(check int)
+    "census population" (Obs_prof.inflated_now seq)
+    (Obs_prof.inflated_now par);
+  (* per-variable attribution merges to the sequential counts
+     (disjoint keys under variable sharding: merge is a move) *)
+  Alcotest.(check (list (pair string int)))
+    "per-variable ops"
+    (by_name (Obs_prof.hot_alist ~k:10_000 seq))
+    (by_name (Obs_prof.hot_alist ~k:10_000 par))
 
 let test_merge_oracle_trace_gen () =
   (* generated traces (not just the curated workloads): the merged
@@ -207,24 +198,21 @@ let test_merge_oracle_trace_gen () =
           { Trace_gen.threads = 4; vars = 12; locks = 2; volatiles = 2;
             length = 400; profile = Trace_gen.Mixed; barriers = true }
       in
-      let prof_of ?jobs ?plan () =
+      let prof_of ?jobs () =
         let prof = Obs_prof.create () in
         let config = Config.with_prof prof Config.default in
         (match jobs with
         | None -> ignore (Driver.run ~config fasttrack tr)
         | Some jobs ->
-          ignore (Driver.run_parallel ~config ~jobs ?plan fasttrack tr));
+          ignore (Driver.run_parallel ~config ~jobs fasttrack tr));
         prof
       in
       let seq = prof_of () in
-      List.iter
-        (fun plan ->
-          let par = prof_of ~jobs:3 ~plan () in
-          Alcotest.(check (list (pair string int)))
-            (Printf.sprintf "seed %d: per-variable ops" seed)
-            (by_name (Obs_prof.hot_alist ~k:10_000 seq))
-            (by_name (Obs_prof.hot_alist ~k:10_000 par)))
-        [ Shard.Static; Shard.Stealing ])
+      let par = prof_of ~jobs:3 () in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "seed %d: per-variable ops" seed)
+        (by_name (Obs_prof.hot_alist ~k:10_000 seq))
+        (by_name (Obs_prof.hot_alist ~k:10_000 par)))
     [ 3; 17; 99 ]
 
 (* ------------------------------------------------------------------ *)

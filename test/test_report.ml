@@ -3,7 +3,7 @@
    1. the flight recorder is a bounded ring — wraparound keeps the
       newest [capacity] accesses and counts the dropped ones — and a
       disabled recorder NEVER changes analysis results (warnings
-      byte-identical on/off, sequentially and sharded);
+      byte-identical on/off, sequentially and under --jobs);
    2. witnesses captured on the warning path actually prove the race:
       the unordered clock component checks out, the reconstructed
       first-access index points at a real conflicting access, and the
@@ -31,9 +31,7 @@ let test_recorder_disabled () =
   Alcotest.(check int) "nothing recorded" 0 (Obs_recorder.recorded r);
   Alcotest.(check (list int)) "no keys" [] (Obs_recorder.keys r);
   Alcotest.(check int) "no entries" 0
-    (List.length (Obs_recorder.entries r ~key:7));
-  Alcotest.(check bool) "disabled shard view is itself" false
-    (Obs_recorder.is_enabled (Obs_recorder.shard_view r))
+    (List.length (Obs_recorder.entries r ~key:7))
 
 let test_recorder_wraparound () =
   (* capacity 3, 5 accesses: the ring must hold exactly the newest 3,
@@ -73,22 +71,9 @@ let test_recorder_locks () =
   Alcotest.(check (array int)) "per-thread isolation" [| 12 |]
     (Obs_recorder.locks_held r ~tid:2)
 
-let test_recorder_merge () =
-  let parent = Obs_recorder.create ~capacity:2 () in
-  let v1 = Obs_recorder.shard_view parent in
-  let v2 = Obs_recorder.shard_view parent in
-  Obs_recorder.record v1 ~key:1 ~index:0 ~tid:0 ~op:Obs_recorder.Read
-    ~epoch:1 ~clock:1;
-  Obs_recorder.record v2 ~key:2 ~index:1 ~tid:1 ~op:Obs_recorder.Write
-    ~epoch:2 ~clock:1;
-  Obs_recorder.merge ~into:parent v1;
-  Obs_recorder.merge ~into:parent v2;
-  Alcotest.(check (list int)) "disjoint rings moved" [ 1; 2 ]
-    (Obs_recorder.keys parent);
-  Alcotest.(check int) "totals summed" 2 (Obs_recorder.recorded parent)
-
 (* The recorder must never perturb the analysis: warnings are
-   byte-identical with it on or off, sequentially and sharded. *)
+   byte-identical with it on or off, sequentially and under --jobs
+   (where a recorder run comes back sequential). *)
 let test_recorder_invariance () =
   List.iter
     (fun name ->
@@ -114,11 +99,10 @@ let test_recorder_invariance () =
           Alcotest.(check (list Test_obs.warning))
             (Printf.sprintf "%s: recorder on ≡ off (%d jobs)" name jobs)
             plain.Driver.warnings par.Driver.warnings;
-          (* the shard views were merged back: the racy keys' rings
-             are visible on the parent recorder *)
+          (* the racy keys' rings are on the run's recorder *)
           if plain.Driver.warnings <> [] then
             Alcotest.(check bool)
-              (name ^ ": merged recorder saw accesses")
+              (name ^ ": recorder saw accesses")
               true
               (Obs_recorder.recorded config.Config.recorder > 0))
         [ 2; 5 ])
@@ -305,13 +289,7 @@ let test_traceevent_json () =
     Config.with_obs obs
       { Config.default with Config.obs }
   in
-  (* the static plan keeps the historical per-shard span names this
-     test pins down (the stealing plan's item spans are covered in
-     test_obs.ml) *)
-  let _ =
-    Driver.run_parallel ~config ~jobs:3 ~plan:Shard.Static
-      (module Fasttrack) tr
-  in
+  let _ = Driver.run_parallel ~config ~jobs:3 (module Fasttrack) tr in
   let j = Test_obs.parse_json (Obs_traceevent.to_string obs) in
   let other = Test_obs.member "otherData" j in
   Alcotest.(check string) "schema" "ftrace.trace/1"
@@ -329,7 +307,13 @@ let test_traceevent_json () =
     (fun expected ->
       if not (List.mem expected names) then
         Alcotest.failf "trace document misses a %S event" expected)
-    [ "shard-0"; "shard-1"; "shard-2"; "merge"; "race"; "thread_name" ];
+    [ "prefix"; "parallel.region"; "merge"; "race"; "thread_name" ];
+  if
+    not
+      (List.exists
+         (fun n -> Astring.String.is_prefix ~affix:"item-" n)
+         names)
+  then Alcotest.fail "trace document misses an item-N event";
   (* race markers are global instants *)
   List.iter
     (fun e ->
@@ -390,8 +374,6 @@ let suite =
       Alcotest.test_case "recorder: ring wraparound" `Quick
         test_recorder_wraparound;
       Alcotest.test_case "recorder: held locks" `Quick test_recorder_locks;
-      Alcotest.test_case "recorder: shard views merge" `Quick
-        test_recorder_merge;
       Alcotest.test_case "recorder: warnings invariant" `Quick
         test_recorder_invariance;
       Alcotest.test_case "witness: proves the race" `Quick

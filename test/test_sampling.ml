@@ -1,6 +1,6 @@
 (* The sampling tier (lib/sampling): tree-clock timestamping versus
    the vector-clock oracle, FastTrack equivalence at rate 1.0,
-   cross-plan determinism of the seeded sampling policy, soundness
+   seq/parallel determinism of the seeded sampling policy, soundness
    (sampled warnings only ever name truly racy variables), and the
    repeated-runs recall guarantee the A9 CI gate enforces. *)
 
@@ -137,10 +137,10 @@ let qtest_full_rate =
   Helpers.qtest ~count:80 "sampling at rate 1.0 ≡ FastTrack"
     sampling_full_rate_is_fasttrack
 
-(* -- cross-plan determinism at the default rate -------------------- *)
+(* -- seq/parallel determinism at the default rate ------------------ *)
 
 (* The whole point of the pure (seed, var, ordinal) policy: identical
-   warning sets from the sequential run, both parallel plans, and the
+   warning sets from the sequential run, the parallel run, and the
    static-elimination run.  (Static elimination drops certified
    variables wholesale, so surviving variables keep their ordinals.) *)
 let sampling_plans_agree tr =
@@ -148,23 +148,17 @@ let sampling_plans_agree tr =
     (fun d ->
       let cfg = config ~rate:0.1 ~budget:2 ~seed:3 in
       let seq = Driver.run ~config:cfg d tr in
-      List.iter
-        (fun plan ->
-          let par = Driver.run_parallel ~config:cfg ~jobs:3 ~plan d tr in
-          Alcotest.check warnings_t
-            (Printf.sprintf "warnings under %s" (Shard.kind_to_string plan))
-            seq.Driver.warnings par.Driver.warnings;
-          Alcotest.check witnesses_t
-            (Printf.sprintf "witnesses under %s" (Shard.kind_to_string plan))
-            seq.Driver.witnesses par.Driver.witnesses)
-        [ Shard.Static; Shard.Stealing ])
+      let par = Driver.run_parallel ~config:cfg ~jobs:3 d tr in
+      Alcotest.check warnings_t "warnings under stealing" seq.Driver.warnings
+        par.Driver.warnings;
+      Alcotest.check witnesses_t "witnesses under stealing"
+        seq.Driver.witnesses par.Driver.witnesses)
     [ (module Sampling_ft : Detector.S);
       (module Sampling_period : Detector.S) ];
   true
 
 let qtest_plans =
-  Helpers.qtest ~count:40 "sampling: seq ≡ static ≡ stealing"
-    sampling_plans_agree
+  Helpers.qtest ~count:40 "sampling: seq ≡ stealing" sampling_plans_agree
 
 let test_static_elim_agrees () =
   let w = Option.get (Workloads.find "raytracer") in

@@ -8,7 +8,7 @@
    (2) Sound elimination is a differential oracle: running any
    per-shadow-key detector with Config.static_elim must leave the
    warning AND witness lists byte-identical to an unfiltered run —
-   sequentially and under both parallel plans — because skipped
+   sequentially and in parallel — because skipped
    accesses never touch the sync state other variables depend on.
    Dually, a certified variable can never appear in a precise
    detector's warnings for any scheduling seed (certificates quantify
@@ -135,7 +135,7 @@ let test_warned_vars_are_may_race () =
 
 (* The differential: static_elim on/off is warning- and
    witness-identical for per-shadow-key detectors, sequentially and
-   under both parallel plans. *)
+   in parallel. *)
 let check_differential ?(jobs = 3) name d tr ~elim_config =
   let base = Driver.run d tr in
   let elim = Driver.run ~config:elim_config d tr in
@@ -148,17 +148,11 @@ let check_differential ?(jobs = 3) name d tr ~elim_config =
     (name ^ ": events + eliminated")
     (Trace.length tr)
     (elim.Driver.stats.Stats.events + elim.Driver.stats.Stats.eliminated);
-  List.iter
-    (fun plan ->
-      let par = Driver.run_parallel ~config:elim_config ~jobs ~plan d tr in
-      let pname =
-        Printf.sprintf "%s [%s]" name (Shard.kind_to_string plan)
-      in
-      Alcotest.check warnings_t (pname ^ ": warnings") base.Driver.warnings
-        par.Driver.warnings;
-      Alcotest.check witnesses_t (pname ^ ": witnesses")
-        base.Driver.witnesses par.Driver.witnesses)
-    [ Shard.Static; Shard.Stealing ]
+  let par = Driver.run_parallel ~config:elim_config ~jobs d tr in
+  Alcotest.check warnings_t (name ^ " [par]: warnings") base.Driver.warnings
+    par.Driver.warnings;
+  Alcotest.check witnesses_t (name ^ " [par]: witnesses")
+    base.Driver.witnesses par.Driver.witnesses
 
 let test_elimination_differential () =
   List.iter
@@ -547,7 +541,7 @@ let suite =
         test_certified_never_warned;
       Alcotest.test_case "warned variables are may-race" `Quick
         test_warned_vars_are_may_race;
-      Alcotest.test_case "elimination differential (seq + both plans)"
+      Alcotest.test_case "elimination differential (seq + par)"
         `Slow test_elimination_differential;
       Alcotest.test_case "elimination differential (coarse)" `Quick
         test_elimination_differential_coarse;

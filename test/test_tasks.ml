@@ -11,7 +11,7 @@
    - The four task-structure lints fire on minimal programs.
    - Check elimination on the task family is a differential oracle:
      warnings and witnesses byte-identical with elimination on —
-     sequentially, under both parallel plans, and through the sampling
+     sequentially, in parallel, and through the sampling
      tier at rate 1.0.
    - A Fork inside a Finish escapes the scope: the forked thread stays
      statically parallel with post-finish code (soundness regression).
@@ -346,20 +346,13 @@ let test_task_elimination_differential () =
         (w.name ^ ": accesses actually eliminated")
         true
         (elim.Driver.stats.Stats.eliminated > 0);
-      List.iter
-        (fun plan ->
-          let par =
-            Driver.run_parallel ~config:elim_config ~jobs:3 ~plan
-              (module Fasttrack) tr
-          in
-          let pname =
-            Printf.sprintf "%s [%s]" w.name (Shard.kind_to_string plan)
-          in
-          Alcotest.check warnings_t (pname ^ ": warnings")
-            base.Driver.warnings par.Driver.warnings;
-          Alcotest.check witnesses_t (pname ^ ": witnesses")
-            base.Driver.witnesses par.Driver.witnesses)
-        [ Shard.Static; Shard.Stealing ];
+      let par =
+        Driver.run_parallel ~config:elim_config ~jobs:3 (module Fasttrack) tr
+      in
+      Alcotest.check warnings_t (w.name ^ " [par]: warnings")
+        base.Driver.warnings par.Driver.warnings;
+      Alcotest.check witnesses_t (w.name ^ " [par]: witnesses")
+        base.Driver.witnesses par.Driver.witnesses;
       (* the sampling tier at rate 1.0 composes with elimination *)
       let sampled =
         Driver.run
@@ -525,15 +518,11 @@ let prop_task_program (program, seed) =
         QCheck2.Test.fail_reportf "warnings differ under static elimination";
       if base.Driver.witnesses <> elim.Driver.witnesses then
         QCheck2.Test.fail_reportf "witnesses differ under static elimination";
-      List.iter
-        (fun plan ->
-          let par =
-            Driver.run_parallel ~config:elim_config ~jobs:3 ~plan
-              (module Fasttrack) tr
-          in
-          if base.Driver.warnings <> par.Driver.warnings then
-            QCheck2.Test.fail_reportf "parallel warnings differ under elim")
-        [ Shard.Static; Shard.Stealing ];
+      let par =
+        Driver.run_parallel ~config:elim_config ~jobs:3 (module Fasttrack) tr
+      in
+      if base.Driver.warnings <> par.Driver.warnings then
+        QCheck2.Test.fail_reportf "parallel warnings differ under elim";
       let sampled =
         Driver.run
           ~config:(Config.with_sampling full_rate_sampling elim_config)
