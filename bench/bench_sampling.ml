@@ -2,7 +2,7 @@
    frontier.
 
    The sampling detectors analyze a seeded pseudo-random fraction of
-   each variable's accesses under full (tree-clock) timestamp
+   each variable's accesses under full (vector-clock) timestamp
    maintenance, so skipped accesses cost O(1) and warnings stay a
    subset of FastTrack's.  This experiment sweeps the rate and records
    one frontier row per (workload, rate): sequential wall time,
@@ -64,8 +64,8 @@ let mean_recall ~oracle ~rate d tr =
 
 let run ~scale ~repeat () =
   Printf.printf
-    "== Sampling: recall-vs-slowdown frontier (tree-clock timestamps) \
-     ==\n";
+    "== Sampling: recall-vs-slowdown frontier (FastTrack behind a \
+     per-access coin) ==\n";
   Printf.printf
     "(sequential wall time, best batch of %d; budget 0 so the rate \
      alone drives the frontier; recall is the mean over %d seeds of \

@@ -25,6 +25,14 @@
 
 include Detector.S
 
+val record_event : t -> index:int -> Event.t -> unit
+(** The flight-recorder hook {!on_event} runs first when
+    [config.recorder] is enabled: logs an access (with its thread's
+    current epoch) or a lock event, and analyzes nothing.  For front
+    ends that analyze only some accesses — the sampling tier calls it
+    for every access it skips, because the recorder documents the
+    trace, not the sample.  Call it only with the recorder enabled. *)
+
 (** Observable representation of a variable's shadow state, for
     demonstrations and tests of the adaptive switching (the Figure 4
     trace). *)

@@ -1,21 +1,23 @@
 (** The sampling tier's detector core (shared by {!Sampling_ft} and
     {!Sampling_period}).
 
-    FastTrack's access rules verbatim, behind a per-access coin: an
-    access outside its variable's burn-in budget is analyzed only when
-    a stateless hash of [(seed, variable, per-variable ordinal)] lands
-    under the configured rate ({!Config.sampling}).  Skipped accesses
-    are counted ([Stats.skipped]) and dropped {e before} touching any
-    shadow state, so every warning the sampler does raise is a genuine
-    happens-before race between two analyzed accesses — sampling loses
-    recall, never precision.  Synchronization events are always
-    processed in full ([Tc_state] live, or the shared [Sync_timeline]
-    under the stealing plan), keeping the timestamps of the analyzed
-    minority sound.
+    A per-access coin in front of one {!Fasttrack} instance built from
+    the same {!Config.t}: an access outside its variable's burn-in
+    budget is analyzed only when a stateless hash of
+    [(seed, variable, per-variable ordinal)] lands under the
+    configured rate ({!Config.sampling}).  Sampled accesses and every
+    synchronization event go to {!Fasttrack.on_event}, so timestamps
+    come from the same {!Clock_source} as FastTrack's (a live
+    [Vc_state] sequentially, the shared [Sync_timeline] under the
+    stealing plan) and every warning is FastTrack's by construction.
+    Skipped accesses are counted ([Stats.skipped]) and dropped before
+    touching any shadow state, so every warning the sampler raises is
+    a genuine happens-before race between two analyzed accesses —
+    sampling loses recall, never precision.
 
-    At [rate = 1.0] every coin lands: warnings and witnesses are
-    byte-identical to FastTrack's (asserted in
-    [test/test_sampling.ml]). *)
+    At [rate = 1.0] every coin lands: warnings, witnesses and every
+    [Stats] counter but [sampled]/[skipped] equal FastTrack's
+    (asserted in [test/test_sampling.ml]). *)
 
 type t
 

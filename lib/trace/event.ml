@@ -65,85 +65,81 @@ let to_string e = Format.asprintf "%a" pp e
 
 (* Concrete-syntax parser for the printer above.  Events are written as
    [name(arg,arg)]; variables as [xN] or [xN.F], locks as [mN],
-   volatiles as [vN]. *)
+   volatiles as [vN].  Every id is range-checked here, at the parse
+   boundary: detectors index dense arrays by them, so a negative id
+   would crash them, and a tid past [Epoch.max_tid] cannot be packed
+   into an epoch (and would size per-thread arrays by it). *)
+
+exception Bad of string
+
+(* [line] is the whole event text, quoted in every diagnostic.  The
+   helpers are top-level so that parsing a line allocates no closure. *)
+let fail line fmt =
+  Printf.ksprintf
+    (fun msg -> raise_notrace (Bad (Printf.sprintf "%s in %S" msg line)))
+    fmt
+
+let parse_nat line what ~max a =
+  match int_of_string_opt a with
+  | Some n when n >= 0 && n <= max -> n
+  | Some n when n < 0 -> fail line "negative %s %d" what n
+  | Some n -> fail line "%s %d out of range [0, %d]" what n max
+  | None -> fail line "bad %s %S" what a
+
+let parse_tid line a =
+  parse_nat line "tid" ~max:Epoch.max_tid (String.trim a)
+
+let parse_id line prefix what a =
+  let a = String.trim a in
+  if String.length a > 1 && a.[0] = prefix then
+    parse_nat line what ~max:max_int (String.sub a 1 (String.length a - 1))
+  else fail line "bad %s %S" what a
+
+let parse_var line a =
+  let a = String.trim a in
+  if String.length a < 2 || a.[0] <> 'x' then fail line "bad variable %S" a
+  else
+    match String.split_on_char '.' (String.sub a 1 (String.length a - 1)) with
+    | [ o ] -> Var.scalar (parse_nat line "object" ~max:max_int o)
+    | [ o; f ] ->
+      let obj = parse_nat line "object" ~max:max_int o in
+      Var.make ~obj ~field:(parse_nat line "field" ~max:Var.max_field f)
+    | _ -> fail line "bad variable %S" a
+
 let of_string s =
-  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
-  let s = String.trim s in
-  match String.index_opt s '(' with
-  | None -> fail "missing '(' in %S" s
-  | Some i ->
-    if String.length s = 0 || s.[String.length s - 1] <> ')' then
-      fail "missing ')' in %S" s
-    else begin
-      let name = String.sub s 0 i in
-      let args = String.sub s (i + 1) (String.length s - i - 2) in
-      let parts = String.split_on_char ',' args in
-      let int_of s = int_of_string_opt (String.trim s) in
-      let prefixed_int prefix s =
-        let s = String.trim s in
-        let n = String.length prefix in
-        if String.length s > n && String.sub s 0 n = prefix then
-          int_of_string_opt (String.sub s n (String.length s - n))
-        else None
-      in
-      let var_of s =
-        let s = String.trim s in
-        if String.length s < 2 || s.[0] <> 'x' then None
-        else
-          let body = String.sub s 1 (String.length s - 1) in
-          match String.split_on_char '.' body with
-          | [ o ] -> Option.map Var.scalar (int_of_string_opt o)
-          | [ o; f ] ->
-            (match (int_of_string_opt o, int_of_string_opt f) with
-            | Some obj, Some field -> Some (Var.make ~obj ~field)
-            | _ -> None)
-          | _ -> None
-      in
-      match (name, parts) with
-      | "rd", [ t; x ] -> (
-        match (int_of t, var_of x) with
-        | Some t, Some x -> Ok (Read { t; x })
-        | _ -> fail "bad rd args in %S" s)
-      | "wr", [ t; x ] -> (
-        match (int_of t, var_of x) with
-        | Some t, Some x -> Ok (Write { t; x })
-        | _ -> fail "bad wr args in %S" s)
-      | "acq", [ t; m ] -> (
-        match (int_of t, prefixed_int "m" m) with
-        | Some t, Some m -> Ok (Acquire { t; m })
-        | _ -> fail "bad acq args in %S" s)
-      | "rel", [ t; m ] -> (
-        match (int_of t, prefixed_int "m" m) with
-        | Some t, Some m -> Ok (Release { t; m })
-        | _ -> fail "bad rel args in %S" s)
-      | "fork", [ t; u ] -> (
-        match (int_of t, int_of u) with
-        | Some t, Some u -> Ok (Fork { t; u })
-        | _ -> fail "bad fork args in %S" s)
-      | "join", [ t; u ] -> (
-        match (int_of t, int_of u) with
-        | Some t, Some u -> Ok (Join { t; u })
-        | _ -> fail "bad join args in %S" s)
-      | "vrd", [ t; v ] -> (
-        match (int_of t, prefixed_int "v" v) with
-        | Some t, Some v -> Ok (Volatile_read { t; v })
-        | _ -> fail "bad vrd args in %S" s)
-      | "vwr", [ t; v ] -> (
-        match (int_of t, prefixed_int "v" v) with
-        | Some t, Some v -> Ok (Volatile_write { t; v })
-        | _ -> fail "bad vwr args in %S" s)
-      | "barrier", parts -> (
-        let threads = List.filter_map int_of parts in
-        if List.length threads = List.length parts && threads <> [] then
-          Ok (Barrier_release { threads })
-        else fail "bad barrier args in %S" s)
-      | "begin", [ t ] -> (
-        match int_of t with
-        | Some t -> Ok (Txn_begin { t })
-        | None -> fail "bad begin args in %S" s)
-      | "end", [ t ] -> (
-        match int_of t with
-        | Some t -> Ok (Txn_end { t })
-        | None -> fail "bad end args in %S" s)
-      | _ -> fail "unknown event %S" s
-    end
+  let l = String.trim s in
+  try
+    match String.index_opt l '(' with
+    | None -> fail l "missing '('"
+    | Some i ->
+      if l.[String.length l - 1] <> ')' then fail l "missing ')'";
+      let name = String.sub l 0 i in
+      let args = String.sub l (i + 1) (String.length l - i - 2) in
+      match (name, String.split_on_char ',' args) with
+      | "rd", [ t; x ] -> Ok (Read { t = parse_tid l t; x = parse_var l x })
+      | "wr", [ t; x ] -> Ok (Write { t = parse_tid l t; x = parse_var l x })
+      | "acq", [ t; m ] ->
+        Ok (Acquire { t = parse_tid l t; m = parse_id l 'm' "lock" m })
+      | "rel", [ t; m ] ->
+        Ok (Release { t = parse_tid l t; m = parse_id l 'm' "lock" m })
+      | "fork", [ t; u ] ->
+        Ok (Fork { t = parse_tid l t; u = parse_tid l u })
+      | "join", [ t; u ] ->
+        Ok (Join { t = parse_tid l t; u = parse_tid l u })
+      | "vrd", [ t; v ] ->
+        Ok
+          (Volatile_read
+             { t = parse_tid l t; v = parse_id l 'v' "volatile" v })
+      | "vwr", [ t; v ] ->
+        Ok
+          (Volatile_write
+             { t = parse_tid l t; v = parse_id l 'v' "volatile" v })
+      | "barrier", parts ->
+        Ok (Barrier_release { threads = List.map (parse_tid l) parts })
+      | "begin", [ t ] -> Ok (Txn_begin { t = parse_tid l t })
+      | "end", [ t ] -> Ok (Txn_end { t = parse_tid l t })
+      | ("rd" | "wr" | "acq" | "rel" | "fork" | "join" | "vrd" | "vwr"
+        | "begin" | "end"), _ ->
+        fail l "bad %s args" name
+      | _ -> fail l "unknown event"
+  with Bad msg -> Error msg

@@ -40,4 +40,7 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parses the concrete syntax produced by {!to_string}
-    (e.g. ["rd(1,x3)"], ["acq(0,m2)"], ["barrier(0,1,2)"]). *)
+    (e.g. ["rd(1,x3)"], ["acq(0,m2)"], ["barrier(0,1,2)"]).  Never
+    raises: a malformed event, a negative tid, object, field, lock or
+    volatile id, a tid above {!Epoch.max_tid} or a field above
+    {!Var.max_field} is an [Error] naming the offending id. *)

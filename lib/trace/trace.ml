@@ -74,17 +74,17 @@ let to_string tr = Format.asprintf "%a" pp tr
 
 let of_string s =
   let lines = String.split_on_char '\n' s in
-  let rec go acc = function
+  let rec go n acc = function
     | [] -> Ok (of_list (List.rev acc))
     | line :: rest ->
       let line = String.trim line in
-      if line = "" || line.[0] = '#' then go acc rest
+      if line = "" || line.[0] = '#' then go (n + 1) acc rest
       else (
         match Event.of_string line with
-        | Ok e -> go (e :: acc) rest
-        | Error msg -> Error msg)
+        | Ok e -> go (n + 1) (e :: acc) rest
+        | Error msg -> Error (Printf.sprintf "line %d: %s" n msg))
   in
-  go [] lines
+  go 1 [] lines
 
 module Builder = struct
   type t = { mutable events : Event.t array; mutable len : int }

@@ -51,7 +51,9 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Parses the one-event-per-line format of {!pp}.  Blank lines and
-    lines starting with ['#'] are ignored. *)
+    lines starting with ['#'] are ignored.  An error names the first
+    bad line: ["line N: ..."] (1-based, counting every line), then
+    {!Event.of_string}'s diagnostic. *)
 
 (** Mutable trace accumulator. *)
 module Builder : sig

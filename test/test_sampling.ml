@@ -1,11 +1,9 @@
-(* The sampling tier (lib/sampling): tree-clock timestamping versus
-   the vector-clock oracle, FastTrack equivalence at rate 1.0,
-   seq/parallel determinism of the seeded sampling policy, soundness
-   (sampled warnings only ever name truly racy variables), and the
-   repeated-runs recall guarantee the A9 CI gate enforces. *)
-
-module VC = Vector_clock
-module TC = Tree_clock
+(* The sampling tier (lib/sampling): FastTrack equivalence at rate
+   1.0 (verdicts and every counter), the recorder documenting the
+   whole trace at any rate, seq/parallel determinism of the seeded
+   sampling policy, soundness (sampled warnings only ever name truly
+   racy variables), and the repeated-runs recall guarantee the A9 CI
+   gate enforces. *)
 
 let warning : Warning.t Alcotest.testable =
   Alcotest.testable Warning.pp (fun (a : Warning.t) b -> a = b)
@@ -20,105 +18,18 @@ let witnesses_t = Alcotest.list witness
 let config ~rate ~budget ~seed =
   Config.with_sampling { Config.rate; budget; seed } Config.default
 
-(* -- Tree_clock ≡ Vector_clock over Trace_gen seeds ---------------- *)
-
-(* Replay every sync event through Vc_state and Tc_state side by side;
-   after each event the clocks, epochs and leq relations must agree
-   component for component, and every tree must pass the structural
-   audit.  Trace_gen emits volatiles and barriers in every profile, so
-   the flat/inexact and rebase paths are exercised, not just the
-   tree-join path. *)
-let tc_state_matches_vc_state tr =
-  let vstats = Stats.create () and tstats = Stats.create () in
-  let vs = Vc_state.create vstats in
-  let ts = Tc_state.create tstats in
-  Trace.iteri
-    (fun _index e ->
-      let hv = Vc_state.handle_sync vs e in
-      let ht = Tc_state.handle_sync ts e in
-      if hv <> ht then
-        Alcotest.failf "handle_sync disagrees on %s" (Event.to_string e);
-      if hv && Event.is_sync e then begin
-        let n = Vc_state.thread_count vs in
-        for t = 0 to n - 1 do
-          let vc = Vc_state.clock vs t and tc = Tc_state.clock ts t in
-          TC.check tc;
-          if VC.to_list vc <> TC.to_list tc then
-            Alcotest.failf
-              "C_%d diverges after %s: VC %s, TC %s" t
-              (Event.to_string e)
-              (Format.asprintf "%a" VC.pp vc)
-              (Format.asprintf "%a" TC.pp tc);
-          if not (Epoch.equal (Vc_state.epoch vs t) (Tc_state.epoch ts t))
-          then Alcotest.failf "E(%d) diverges after %s" t (Event.to_string e)
-        done;
-        (* cross-thread orderings through the interop comparisons *)
-        for t = 0 to n - 1 do
-          for u = 0 to n - 1 do
-            let vc_leq =
-              VC.leq (Vc_state.clock vs t) (Vc_state.clock vs u)
-            in
-            let tc_leq =
-              TC.leq (Tc_state.clock ts t) (Tc_state.clock ts u)
-            in
-            if vc_leq <> tc_leq then
-              Alcotest.failf "leq(C_%d, C_%d) diverges after %s" t u
-                (Event.to_string e)
-          done
-        done
-      end)
-    tr;
-  true
-
-let qtest_oracle =
-  Helpers.qtest ~count:120 "Tc_state ≡ Vc_state over generated traces"
-    tc_state_matches_vc_state
-
-(* -- Tree_clock unit behaviour ------------------------------------- *)
-
-let test_tree_clock_basics () =
-  let a = TC.create () in
-  Alcotest.(check int) "bottom get" 0 (TC.get a 3);
-  Alcotest.(check (list int)) "bottom to_list" [] (TC.to_list a);
-  TC.inc a 2;
-  TC.inc a 2;
-  Alcotest.(check int) "inc roots and counts" 2 (TC.get a 2);
-  Alcotest.(check int) "root" 2 (TC.root a);
-  TC.check a;
-  let b = TC.create () in
-  TC.inc b 0;
-  TC.join_into ~dst:b a;
-  TC.check b;
-  Alcotest.(check (list int)) "join carries entries" [ 1; 0; 2 ]
-    (TC.to_list b);
-  (* joining twice is idempotent (second join early-exits) *)
-  TC.join_into ~dst:b a;
-  TC.check b;
-  Alcotest.(check (list int)) "idempotent" [ 1; 0; 2 ] (TC.to_list b);
-  Alcotest.(check bool) "a ⊑ b" true (TC.leq a b);
-  Alcotest.(check bool) "b ⋢ a" false (TC.leq b a);
-  Alcotest.(check bool) "epoch_leq" true
-    (TC.epoch_leq (TC.epoch_of a 2) b);
-  let rvc = VC.of_list [ 1; 0; 2 ] in
-  Alcotest.(check bool) "vc_leq" true (TC.vc_leq rvc b);
-  VC.set rvc 1 5;
-  (match TC.find_gt_vc rvc b with
-  | Some (1, 5) -> ()
-  | _ -> Alcotest.fail "find_gt_vc misses the failing component");
-  let c = TC.copy b in
-  TC.check c;
-  Alcotest.(check bool) "copy equal" true (TC.equal b c)
-
-let test_tree_clock_inc_nonroot () =
-  let a = TC.create () in
-  TC.inc a 1;
-  Alcotest.check_raises "inc off the root"
-    (Invalid_argument "Tree_clock.inc: only the root component advances")
-    (fun () -> TC.inc a 0)
-
 (* -- rate 1.0 ≡ FastTrack ------------------------------------------ *)
 
 let full_rate = config ~rate:1.0 ~budget:0 ~seed:7
+
+(* Every counter but the sampler's own two: the coin is the only code
+   in front of FastTrack, so at rate 1.0 rule hits, VC/epoch ops,
+   allocations and shadow words are FastTrack's too. *)
+let counters (s : Stats.t) =
+  ( List.filter
+      (fun (name, _) -> name <> "sampled" && name <> "skipped")
+      (Stats.fields_alist s),
+    List.sort compare (Stats.rules_alist s) )
 
 let sampling_full_rate_is_fasttrack tr =
   let ft = Driver.run (module Fasttrack) tr in
@@ -128,7 +39,10 @@ let sampling_full_rate_is_fasttrack tr =
       Alcotest.check warnings_t "warnings ≡ FastTrack at rate 1.0"
         ft.Driver.warnings sp.Driver.warnings;
       Alcotest.check witnesses_t "witnesses ≡ FastTrack at rate 1.0"
-        ft.Driver.witnesses sp.Driver.witnesses)
+        ft.Driver.witnesses sp.Driver.witnesses;
+      Alcotest.(check (pair (list (pair string int)) (list (pair string int))))
+        "stats ≡ FastTrack at rate 1.0" (counters ft.Driver.stats)
+        (counters sp.Driver.stats))
     [ (module Sampling_ft : Detector.S);
       (module Sampling_period : Detector.S) ];
   true
@@ -136,6 +50,41 @@ let sampling_full_rate_is_fasttrack tr =
 let qtest_full_rate =
   Helpers.qtest ~count:80 "sampling at rate 1.0 ≡ FastTrack"
     sampling_full_rate_is_fasttrack
+
+(* -- the recorder documents the trace, not the sample -------------- *)
+
+(* At rate 0.02 almost every access skips FastTrack's analysis, yet
+   the flight recorder must hold exactly the rings a FastTrack run
+   fills — sequentially and under --jobs (recorder runs fall back to
+   the sequential driver). *)
+let recorder_rings r =
+  List.map (fun key -> (key, Obs_recorder.entries r ~key)) (Obs_recorder.keys r)
+
+let test_recorder_rings_match () =
+  List.iter
+    (fun name ->
+      let w = Option.get (Workloads.find name) in
+      let tr = Workload.trace ~seed:11 ~scale:1 w in
+      List.iter
+        (fun jobs ->
+          let rings d config =
+            let recorder = Obs_recorder.create () in
+            ignore
+              (Driver.run_parallel
+                 ~config:(Config.with_recorder recorder config)
+                 ~jobs d tr);
+            recorder_rings recorder
+          in
+          let ft = rings (module Fasttrack) Config.default in
+          let sp =
+            rings (module Sampling_ft) (config ~rate:0.02 ~budget:0 ~seed:1)
+          in
+          let label = Printf.sprintf "%s -j %d" name jobs in
+          Alcotest.(check bool) (label ^ ": rings recorded") true (ft <> []);
+          Alcotest.(check bool) (label ^ ": rings ≡ FastTrack's") true
+            (ft = sp))
+        [ 1; 3 ])
+    [ "hedc"; "raytracer" ]
 
 (* -- seq/parallel determinism at the default rate ------------------ *)
 
@@ -268,11 +217,9 @@ let test_stats_partition () =
 
 let suite =
   ( "sampling",
-    [ qtest_oracle;
-      Alcotest.test_case "tree-clock basics" `Quick test_tree_clock_basics;
-      Alcotest.test_case "tree-clock inc off the root" `Quick
-        test_tree_clock_inc_nonroot;
-      qtest_full_rate;
+    [ qtest_full_rate;
+      Alcotest.test_case "recorder rings ≡ FastTrack's at rate 0.02"
+        `Quick test_recorder_rings_match;
       qtest_plans;
       Alcotest.test_case "static-elim keeps the warning set" `Quick
         test_static_elim_agrees;

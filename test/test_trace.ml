@@ -19,7 +19,7 @@ let test_event_parse_roundtrip () =
   let cases =
     [ "rd(1,x3)"; "wr(0,x2.5)"; "acq(2,m1)"; "rel(2,m1)"; "fork(0,1)";
       "join(0,1)"; "vrd(1,v0)"; "vwr(1,v0)"; "barrier(1,2,3)"; "begin(4)";
-      "end(4)" ]
+      "end(4)"; "wr(65535,x1.65535)" ]
   in
   List.iter
     (fun s ->
@@ -36,7 +36,19 @@ let test_event_parse_errors () =
       | Ok e -> Alcotest.failf "%s should not parse (got %s)" s
                   (Event.to_string e))
     [ ""; "rd"; "rd(1)"; "rd(x,1)"; "frobnicate(1,2)"; "rd(1,m3)";
-      "acq(1,x3)"; "barrier()"; "rd(1,x3" ]
+      "acq(1,x3)"; "barrier()"; "rd(1,x3";
+      (* ids out of range: an error, never an exception *)
+      "wr(-1,x1)"; "wr(0,x-1)"; "rd(0,x1.-2)"; "rd(0,x1.65536)";
+      "acq(0,m-1)"; "rel(-3,m0)"; "vrd(0,v-1)"; "vwr(0,v-9)";
+      "fork(0,-2)"; "join(-1,0)"; "barrier(0,-1)"; "begin(-1)"; "end(-1)";
+      "wr(65536,x1)"; "fork(0,65536)"; "barrier(0,65536)" ]
+
+let test_trace_error_lines () =
+  match Trace.of_string "rd(0,x1)\n# note\n\nwr(-1,x1)\n" with
+  | Ok _ -> Alcotest.fail "negative tid parsed"
+  | Error msg ->
+    if not (String.starts_with ~prefix:"line 4: " msg) then
+      Alcotest.failf "error %S does not name line 4" msg
 
 let prop_event_roundtrip =
   QCheck_alcotest.to_alcotest
@@ -116,6 +128,8 @@ let suite =
       Alcotest.test_case "event parse roundtrip" `Quick
         test_event_parse_roundtrip;
       Alcotest.test_case "event parse errors" `Quick test_event_parse_errors;
+      Alcotest.test_case "text errors name the line" `Quick
+        test_trace_error_lines;
       prop_event_roundtrip;
       Alcotest.test_case "builder" `Quick test_builder;
       Alcotest.test_case "counts and vars" `Quick test_counts_and_vars;
