@@ -39,67 +39,31 @@ let thread_count = function
 
 (* -- lock / barrier facet ------------------------------------------ *)
 
-(* Live lock tracking mirrors Sync_timeline's representation — sorted
-   [Lockid.t list] with set semantics plus a per-thread stamp ordinal
-   — so lockset detectors see one interface in both modes and can
-   memoize derived set representations keyed on [(tid, stamp)]. *)
-
-type live_locks = {
-  mutable held : Lockid.t list array;  (* sorted, set semantics *)
-  mutable stamp : int array;
-  mutable barrier_gen : int;
-}
+(* Live lock tracking is the same [Held_locks] the timeline builder
+   checkpoints, so lockset detectors see one representation — sorted
+   [Lockid.t list] plus a per-thread stamp ordinal — in both modes and
+   can memoize derived set representations keyed on [(tid, stamp)]. *)
 
 type locks =
-  | L_live of live_locks
+  | L_live of Held_locks.t
   | L_shared of Sync_timeline.cursor
 
 let locks (config : Config.t) =
   match config.Config.sync_source with
   | Some tl -> L_shared (Sync_timeline.cursor tl)
-  | None ->
-    L_live { held = Array.make 8 []; stamp = Array.make 8 0; barrier_gen = 0 }
-
-let ensure_tid l t =
-  let n = Array.length l.held in
-  if t >= n then begin
-    let n' = max (t + 1) (2 * n) in
-    let held = Array.make n' [] and stamp = Array.make n' 0 in
-    Array.blit l.held 0 held 0 n;
-    Array.blit l.stamp 0 stamp 0 n;
-    l.held <- held;
-    l.stamp <- stamp
-  end
-
-let rec insert_sorted (m : Lockid.t) = function
-  | [] -> [ m ]
-  | x :: rest when x < m -> x :: insert_sorted m rest
-  | x :: _ as s when x > m -> m :: s
-  | s -> s (* already held *)
+  | None -> L_live (Held_locks.create ())
 
 let locks_on_event ls e =
   match ls with
   | L_shared _ -> () (* the timeline already tracked it *)
-  | L_live l -> (
-    match e with
-    | Event.Acquire { t; m } ->
-      ensure_tid l t;
-      l.held.(t) <- insert_sorted m l.held.(t);
-      l.stamp.(t) <- l.stamp.(t) + 1
-    | Event.Release { t; m } ->
-      ensure_tid l t;
-      l.held.(t) <- List.filter (fun x -> x <> m) l.held.(t);
-      l.stamp.(t) <- l.stamp.(t) + 1
-    | Event.Barrier_release _ -> l.barrier_gen <- l.barrier_gen + 1
-    | _ -> ())
+  | L_live l -> Held_locks.on_event l e
 
 let held_locks ls ~index t =
   match ls with
   | L_shared cur -> Sync_timeline.held_locks cur ~index t
-  | L_live l ->
-    if t < Array.length l.held then (l.stamp.(t), l.held.(t)) else (0, [])
+  | L_live l -> Held_locks.held l t
 
 let barrier_generation ls ~index =
   match ls with
   | L_shared cur -> Sync_timeline.barrier_generation cur ~index
-  | L_live l -> l.barrier_gen
+  | L_live l -> Held_locks.barrier_generation l

@@ -45,7 +45,7 @@ val epoch : t -> index:int -> Tid.t -> Epoch.t
 
 val clock : t -> index:int -> Tid.t -> Vector_clock.t
 (** Thread [t]'s vector clock as of [index].  In Shared mode this is
-    an interned snapshot shared across domains: read-only. *)
+    a timeline snapshot shared across domains: read-only. *)
 
 val thread_count : t -> int
 

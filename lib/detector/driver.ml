@@ -205,7 +205,6 @@ let timeline_gauges obs (ts : Sync_timeline.stats) =
   if Obs.is_enabled obs then begin
     Obs.bump obs "timeline.sync_events" ts.Sync_timeline.sync_events;
     Obs.bump obs "timeline.checkpoints" ts.Sync_timeline.checkpoints;
-    Obs.bump obs "timeline.snapshots" ts.Sync_timeline.snapshots;
     Obs.bump obs "timeline.snapshot_hits" ts.Sync_timeline.snapshot_hits;
     Obs.set_gauge obs "timeline.words" (float_of_int ts.Sync_timeline.words)
   end

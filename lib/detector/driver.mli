@@ -88,9 +88,8 @@ val run_parallel :
     stealing over a shared sync timeline.
 
     One pass (itself segmented across domains, see [Prefix]) builds
-    the immutable {!Sync_timeline} — per-thread checkpoints of every
-    sync event's post-state with interned, structurally shared clock
-    snapshots — and splits the trace's access events into
+    the immutable {!Sync_timeline} — per-thread copies of every clock
+    a sync event changed — and splits the trace's access events into
     [Shard.default_steal_factor x jobs] fine-grained items
     ([obj mod slots], LPT-sorted).  [jobs] workers pull items
     dynamically ({!Domain_pool.run_queue}); each item runs a fresh

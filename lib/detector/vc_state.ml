@@ -19,22 +19,22 @@ let create ?(prof = Obs_prof.disabled) stats =
     locks = Hashtbl.create 16;
     volatiles = Hashtbl.create 8 }
 
+(* Placeholder for a thread whose clock [clock] has not created yet;
+   compared by identity and never mutated. *)
+let unborn = VC.create ~capacity:1 ()
+
+(* Slots grow by doubling, but a slot's clock is only built the first
+   time [clock] touches it: memory follows the threads that sync or
+   take an O(n) rule, not the largest tid.  [epochs] is filled eagerly
+   with σ₀'s [u@1], so the per-access [epoch] lookup stays a load. *)
 let ensure_thread s t =
   let n = Array.length s.clocks in
   if t >= n then begin
     let n' = max (t + 1) (2 * n + 1) in
-    let clocks = Array.make n' (VC.create ()) in
-    let epochs = Array.make n' Epoch.bottom in
+    let clocks = Array.make n' unborn in
+    let epochs = Array.init n' (fun u -> Epoch.make ~tid:u ~clock:1) in
     Array.blit s.clocks 0 clocks 0 n;
     Array.blit s.epochs 0 epochs 0 n;
-    for u = n to n' - 1 do
-      let v = VC.create () in
-      VC.inc v u;
-      clocks.(u) <- v;
-      epochs.(u) <- Epoch.make ~tid:u ~clock:1;
-      s.stats.vc_allocs <- s.stats.vc_allocs + 1;
-      Stats.add_words s.stats (VC.heap_words v)
-    done;
     s.clocks <- clocks;
     s.epochs <- epochs
   end;
@@ -42,7 +42,16 @@ let ensure_thread s t =
 
 let clock s t =
   ensure_thread s t;
-  s.clocks.(t)
+  let c = s.clocks.(t) in
+  if c != unborn then c
+  else begin
+    let v = VC.create () in
+    VC.inc v t;
+    s.clocks.(t) <- v;
+    s.stats.vc_allocs <- s.stats.vc_allocs + 1;
+    Stats.add_words s.stats (VC.heap_words v);
+    v
+  end
 
 let epoch s t =
   ensure_thread s t;

@@ -33,4 +33,5 @@ val handle_sync : t -> Event.t -> bool
     [Read]/[Write] events, which the caller must analyze itself. *)
 
 val thread_count : t -> int
-(** Number of thread states created so far. *)
+(** One past the largest tid {!clock} or {!epoch} has been asked
+    for. *)

@@ -10,7 +10,7 @@
 
     The synchronization component is not split at all: it is replayed
     once into the shared read-only [Sync_timeline], and the plan
-    ({!plan_stealing}) splits only the {e access events}, over
+    ({!concat_routes}) splits only the {e access events}, over
     [factor x jobs] fine-grained items ([obj mod slots]) sorted
     longest-first.  Workers pull items dynamically
     ({!Domain_pool.run_queue}), so a hot object pins at most one
@@ -47,49 +47,25 @@ val shard_of_var : jobs:int -> Var.t -> int
 
 type prepass = {
   pp_nthreads : int;  (** max tid over every event, + 1 *)
-  pp_sync_indices : int array;
-      (** trace indices of every non-access event, increasing — the
-          exact input [Sync_timeline.build_indexed] replays *)
   pp_eliminated : int;
       (** accesses dropped at routing time by [?skip] (0 without it) *)
 }
-(** Byproduct of the stealing plan's single trace pass: everything the
-    sync-timeline build needs, collected for free so the whole serial
-    prefix of a stealing run reads the trace exactly once. *)
+(** Byproduct of routing: the thread count the sync-timeline build
+    pads to, and the elimination count. *)
 
-val plan_stealing_prepass :
-  ?factor:int -> ?skip:(Var.t -> bool) -> jobs:int -> Trace.t -> plan * prepass
-(** Materializes the work-stealing split: [max 1 factor * jobs] items
-    (default factor {!default_steal_factor}) containing {e only} the
-    access events of the objects they own, LPT-sorted.  One pass, no
-    event copies.  Items may be empty (few distinct objects);
-    consumers skip them.
+(** {2 Routing}
 
-    [skip] is the static check-elimination hook ([Config.static_elim]
-    routed through [Driver.run_stealing]): accesses satisfying it are
-    dropped during routing — before items exist — and counted in
-    [pp_eliminated], so the LPT order and worker balance reflect the
-    post-elimination load.  Sync events are never skipped. *)
-
-val plan_stealing :
-  ?factor:int -> ?skip:(Var.t -> bool) -> jobs:int -> Trace.t -> plan
-(** [fst (plan_stealing_prepass ...)], for callers that build their
-    own timeline (tests). *)
-
-(** {2 Segmented routing (the parallel prefix)}
-
-    {!plan_stealing_prepass} is a single sequential trace pass — the
-    serial prefix of a stealing run, and its Amdahl term.  Routing is
-    a {e pure per-event function} ([x.obj mod slots] for accesses,
-    "push to the sync run" for everything else), so the pass segments
-    trivially: {!route_segment} routes one half-open trace range into
-    private per-slot index runs, and {!concat_routes} stitches any
-    partition's runs back — in segment order — into {e exactly} the
-    serial pass's plan and prepass (same item index sequences, same
-    LPT order, same sync indices, same thread count; asserted against
-    the serial path in [test/test_prefix.ml]).  [Prefix.build] runs
-    the segments on separate domains and pipelines the sync-timeline
-    build against routing. *)
+    Routing is a {e pure per-event function} ([x.obj mod slots] for
+    accesses, "push to the sync run" for everything else), so it
+    segments trivially: {!route_segment} routes one half-open trace
+    range into private per-slot index runs, and {!concat_routes}
+    stitches any partition's runs back — in segment order — into the
+    plan, equal for {e every} segmentation to the one-segment plan
+    (same item index sequences, same LPT order, same thread count;
+    asserted in [test/test_prefix.ml]).  [Prefix.build] runs the
+    segments on separate domains and pipelines the sync-timeline
+    build against routing, or routes one segment [[0, length)] on the
+    calling domain. *)
 
 type segment_route
 (** One segment's routing byproduct: per-slot index runs, the
@@ -98,31 +74,30 @@ type segment_route
 val route_segment :
   ?factor:int -> ?skip:(Var.t -> bool) -> jobs:int -> lo:int -> hi:int ->
   Trace.t -> segment_route
-(** Route the events of [[lo, hi)] exactly as the serial pass would
-    ([factor]/[skip] as in {!plan_stealing_prepass}).  Pure function
-    of the segment: safe to run concurrently for disjoint segments
-    ([skip] must itself be safe for concurrent calls — the certified
-    sets built by [Static] are read-only hash tables, which are). *)
+(** Route the access events of [[lo, hi)] into [max 1 factor * jobs]
+    items (default factor {!default_steal_factor}) by object id, and
+    collect the segment's non-access event indices.  Pure function of
+    the segment: safe to run concurrently for disjoint segments.
 
-val route_bounds : segment_route -> int * int
-(** The [(lo, hi)] range the segment covered. *)
-
-val route_max_tid : segment_route -> int
-(** Largest tid mentioned in the segment (0 if none). *)
-
-val route_sync_length : segment_route -> int
-(** Number of non-access events in the segment. *)
+    [skip] is the static check-elimination hook ([Config.static_elim]
+    routed through [Driver.run_stealing]): accesses satisfying it are
+    dropped during routing — before items exist — and counted in
+    [pp_eliminated], so the LPT order and worker balance reflect the
+    post-elimination load.  Sync events are never skipped.  [skip]
+    must itself be safe for concurrent calls — the certified sets
+    built by [Static] are read-only hash tables, which are. *)
 
 val route_iter_sync : segment_route -> (int -> unit) -> unit
 (** Iterate the segment's non-access event indices in trace order —
-    the pipelined timeline builder's input, copy-free. *)
+    the timeline builder's input, copy-free. *)
 
 val concat_routes :
   jobs:int -> segment_route array -> Trace.t -> plan * prepass
 (** Stitch the segments' runs (given in segment order, covering the
-    trace) into the stealing plan and prepass.  Equal to
-    [plan_stealing_prepass]'s result for {e any} segmentation.  All
-    routes must share one [factor]/[jobs] (hence slot count).
+    trace) into the stealing plan — only access events, LPT-sorted —
+    and the prepass.  Items may be empty (few distinct objects);
+    consumers skip them.  All routes must share one [factor]/[jobs]
+    (hence slot count).
     @raise Invalid_argument on an empty route array. *)
 
 val default_steal_factor : int

@@ -88,13 +88,16 @@ let capacity v = Array.length v.clocks
 let heap_words v = Array.length v.clocks + 4
 
 let to_list v =
-  let l = Array.to_list (Array.sub v.clocks 0 v.len) in
-  let rec trim = function
-    | 0 :: rest when List.for_all (Int.equal 0) rest -> []
-    | c :: rest -> c :: trim rest
-    | [] -> []
+  (* one backward scan to the last non-zero entry, then build the list
+     from there down *)
+  let last = ref (v.len - 1) in
+  while !last >= 0 && v.clocks.(!last) = 0 do
+    decr last
+  done;
+  let rec build acc t =
+    if t < 0 then acc else build (v.clocks.(t) :: acc) (t - 1)
   in
-  trim l
+  build [] !last
 
 let of_list l =
   let v = create ~capacity:(max 1 (List.length l)) () in

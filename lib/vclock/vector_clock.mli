@@ -89,7 +89,8 @@ val heap_words : t -> int
     used for the Table 3 memory-overhead accounting. *)
 
 val to_list : t -> int list
-(** Clock entries [0 .. capacity-1], trailing zeros trimmed. *)
+(** Clock entries [0 .. capacity-1], trailing zeros trimmed (interior
+    zeros kept).  O(length). *)
 
 val of_list : int list -> t
 

@@ -152,6 +152,27 @@ let test_vc_state_dispatch () =
   Alcotest.(check bool) "access not handled" false
     (Vc_state.handle_sync s (Event.Read { t = 0; x = Var.scalar 0 }))
 
+(* Clocks are built on first [clock] use only: a large tid that is
+   merely looked up by [epoch] costs no clock, and the phantom slots of
+   the doubled capacity never get one. *)
+let test_vc_state_lazy_clocks () =
+  let stats = Stats.create () in
+  let s = Vc_state.create stats in
+  Alcotest.(check string) "untouched epoch is σ₀" "1@4000"
+    (Epoch.to_string (Vc_state.epoch s 4000));
+  Alcotest.(check int) "epoch lookups allocate no clock" 0
+    stats.Stats.vc_allocs;
+  ignore (Vc_state.handle_sync s (Event.Fork { t = 0; u = 2 }));
+  Alcotest.(check int) "fork builds two thread clocks" 2
+    stats.Stats.vc_allocs;
+  Alcotest.(check int) "C_2(0) = 1" 1 (Vector_clock.get (Vc_state.clock s 2) 0);
+  Alcotest.(check int) "no clock for the untouched thread 1" 2
+    stats.Stats.vc_allocs;
+  ignore (Vc_state.clock s 1);
+  Alcotest.(check int) "first clock lookup builds it" 3 stats.Stats.vc_allocs;
+  Alcotest.(check int) "thread_count covers tid 4000" 4001
+    (Vc_state.thread_count s)
+
 (* ---------------- Driver ---------------- *)
 
 let test_driver_replay_and_run () =
@@ -203,6 +224,8 @@ let suite =
       Alcotest.test_case "vc state: fork/join" `Quick test_vc_state_fork_join;
       Alcotest.test_case "vc state: barrier" `Quick test_vc_state_barrier;
       Alcotest.test_case "vc state: dispatch" `Quick test_vc_state_dispatch;
+      Alcotest.test_case "vc state: clocks only for touched threads" `Quick
+        test_vc_state_lazy_clocks;
       Alcotest.test_case "driver" `Quick test_driver_replay_and_run;
       Alcotest.test_case "table render" `Quick test_table_render;
       Alcotest.test_case "table formats" `Quick test_table_formats ] )

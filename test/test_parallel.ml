@@ -168,7 +168,7 @@ let test_granularities () =
 let test_stealing_plan () =
   let tr = broadcast_heavy_trace () in
   let jobs = 3 in
-  let plan = Shard.plan_stealing ~jobs tr in
+  let plan = (Prefix.build ~jobs tr).Prefix.plan in
   Alcotest.(check int) "slots = factor x jobs"
     (Shard.default_steal_factor * jobs)
     plan.Shard.slots;
@@ -259,7 +259,7 @@ let test_hot_object () =
       (Format.asprintf "%a" Validity.pp_violation v));
   let reads, writes, _ = Trace.counts tr in
   let jobs = 3 in
-  let plan = Shard.plan_stealing ~jobs tr in
+  let plan = (Prefix.build ~jobs tr).Prefix.plan in
   Alcotest.(check bool) "one item owns > 90% of accesses" true
     (float_of_int plan.Shard.shards.(0).Shard.accesses
      > 0.9 *. float_of_int (reads + writes));

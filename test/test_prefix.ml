@@ -2,20 +2,20 @@
    §"Segmented prefix"):
 
    1. Stitching: for ANY segmentation, concatenating the per-segment
-      routing runs in segment order reproduces the serial
-      [Shard.plan_stealing_prepass] exactly — same item index
-      sequences, same LPT order, same sync indices, same thread count,
-      same elimination count.  Routing is a pure per-event function,
-      so this is equality of values, not just of observable behaviour.
+      routing runs in segment order reproduces the one-segment route
+      exactly — same item index sequences, same LPT order, same sync
+      indices, same thread count, same elimination count.  Routing is
+      a pure per-event function, so this is equality of values, not
+      just of observable behaviour.
 
    2. Pipelined build: feeding the segments' sync runs in order into
       the incremental [Sync_timeline] builder produces a timeline
-      equal to the one-shot [build_indexed]'s — same lookups at every
-      prefix index (checked against the live [Vc_state] oracle) and
-      the same stats counters, so interning and cursor semantics are
-      untouched by the concurrency.
+      equal to the one-segment [Prefix.build]'s — same lookups at
+      every prefix index (checked against the live [Vc_state] oracle)
+      and the same stats counters, so cursor semantics are untouched
+      by the concurrency.
 
-   Plus the degenerate cases that pin the serial fallback: 1 segment,
+   Plus the degenerate cases that pin the one-segment path: 1 segment,
    jobs = 1, and more segments than events. *)
 
 module VC = Vector_clock
@@ -33,7 +33,7 @@ let gen_params : (string * Trace_gen.params) list =
 
 let seeds = [ 1; 2; 3; 5; 8; 13; 21; 34 ]
 
-(* -- 1. stitching ≡ serial routing --------------------------------- *)
+(* -- 1. stitching ≡ one-segment routing ---------------------------- *)
 
 let check_plan_equal name (pa : Shard.plan) (pb : Shard.plan) =
   Alcotest.(check int) (name ^ ": jobs") pa.Shard.jobs pb.Shard.jobs;
@@ -59,26 +59,29 @@ let check_prepass_equal name (a : Shard.prepass) (b : Shard.prepass) =
   Alcotest.(check int) (name ^ ": nthreads") a.Shard.pp_nthreads
     b.Shard.pp_nthreads;
   Alcotest.(check int) (name ^ ": eliminated") a.Shard.pp_eliminated
-    b.Shard.pp_eliminated;
-  Alcotest.(check (array int))
-    (name ^ ": sync indices") a.Shard.pp_sync_indices
-    b.Shard.pp_sync_indices
+    b.Shard.pp_eliminated
 
-let segmented ?skip ~jobs ~segments tr =
-  let bounds = Trace.segment_bounds ~count:segments tr in
-  let routes =
-    Array.map
-      (fun (lo, hi) -> Shard.route_segment ?skip ~jobs ~lo ~hi tr)
-      bounds
-  in
-  Shard.concat_routes ~jobs routes tr
+let routes ?skip ~jobs ~segments tr =
+  Array.map
+    (fun (lo, hi) -> Shard.route_segment ?skip ~jobs ~lo ~hi tr)
+    (Trace.segment_bounds ~count:segments tr)
+
+(* The timeline builder's input: every route's sync run, in order. *)
+let sync_indices routes =
+  let acc = ref [] in
+  Array.iter (fun r -> Shard.route_iter_sync r (fun i -> acc := i :: !acc)) routes;
+  Array.of_list (List.rev !acc)
 
 let check_stitching ?skip name ~jobs ~segments tr =
-  let plan_s, pp_s = Shard.plan_stealing_prepass ?skip ~jobs tr in
-  let plan_p, pp_p = segmented ?skip ~jobs ~segments tr in
+  let one = routes ?skip ~jobs ~segments:1 tr in
+  let many = routes ?skip ~jobs ~segments tr in
+  let plan_s, pp_s = Shard.concat_routes ~jobs one tr in
+  let plan_p, pp_p = Shard.concat_routes ~jobs many tr in
   let name = Printf.sprintf "%s j%d seg%d" name jobs segments in
   check_plan_equal name plan_s plan_p;
-  check_prepass_equal name pp_s pp_p
+  check_prepass_equal name pp_s pp_p;
+  Alcotest.(check (array int))
+    (name ^ ": sync indices") (sync_indices one) (sync_indices many)
 
 let test_stitching_generated () =
   List.iter
@@ -116,7 +119,7 @@ let test_stitching_with_skip () =
       check_stitching ~skip "moldyn+skip" ~jobs:4 ~segments tr)
     [ 1; 7 ]
 
-(* -- 2. streamed timeline ≡ one-shot build ------------------------- *)
+(* -- 2. streamed timeline ≡ one-segment build ---------------------- *)
 
 let check_stats_equal name (a : Sync_timeline.stats) (b : Sync_timeline.stats)
     =
@@ -130,7 +133,6 @@ let check_stats_equal name (a : Sync_timeline.stats) (b : Sync_timeline.stats)
       ("vc_ops", a.Sync_timeline.vc_ops, b.Sync_timeline.vc_ops);
       ("vc_allocs", a.Sync_timeline.vc_allocs, b.Sync_timeline.vc_allocs);
       ("checkpoints", a.Sync_timeline.checkpoints, b.Sync_timeline.checkpoints);
-      ("snapshots", a.Sync_timeline.snapshots, b.Sync_timeline.snapshots);
       ("snapshot_hits", a.Sync_timeline.snapshot_hits,
        b.Sync_timeline.snapshot_hits);
       ("words", a.Sync_timeline.words, b.Sync_timeline.words) ]
@@ -139,10 +141,7 @@ let check_stats_equal name (a : Sync_timeline.stats) (b : Sync_timeline.stats)
    input), sequentially here: concurrency changes only *when* feed
    runs, never its input order, which Prefix serializes per segment. *)
 let streamed_timeline ~jobs ~segments tr =
-  let bounds = Trace.segment_bounds ~count:segments tr in
-  let routes =
-    Array.map (fun (lo, hi) -> Shard.route_segment ~jobs ~lo ~hi tr) bounds
-  in
+  let routes = routes ~jobs ~segments tr in
   let b = Sync_timeline.builder_create () in
   Array.iter
     (fun r -> Shard.route_iter_sync r (fun index -> Sync_timeline.feed b tr ~index))
@@ -168,13 +167,13 @@ let check_timeline_oracle name tl tr =
   done
 
 let check_streamed name ~jobs ~segments tr =
-  let serial = Sync_timeline.build tr in
+  let reference = (Prefix.build ~segments:1 ~jobs tr).Prefix.timeline in
   let streamed = streamed_timeline ~jobs ~segments tr in
   let name = Printf.sprintf "%s j%d seg%d" name jobs segments in
   Alcotest.(check int) (name ^ ": thread_count")
-    (Sync_timeline.thread_count serial)
+    (Sync_timeline.thread_count reference)
     (Sync_timeline.thread_count streamed);
-  check_stats_equal name (Sync_timeline.stats serial)
+  check_stats_equal name (Sync_timeline.stats reference)
     (Sync_timeline.stats streamed);
   check_timeline_oracle name streamed tr
 
@@ -203,14 +202,12 @@ let test_streamed_workloads () =
 (* -- 3. Prefix.build end to end ------------------------------------ *)
 
 (* The real concurrent pipeline (routing domains + builder domain),
-   compared against the serial prefix: plan, prepass, timeline lookups
-   and stats all equal; phase walls populated sanely. *)
+   compared against the one-segment prefix: plan, prepass, timeline
+   lookups and stats all equal; phase walls populated sanely. *)
 let check_prefix_build name ~jobs ~segments tr =
-  let plan_s, pp_s = Shard.plan_stealing_prepass ~jobs tr in
-  let serial_tl =
-    Sync_timeline.build_indexed ~nthreads:pp_s.Shard.pp_nthreads
-      ~sync_indices:pp_s.Shard.pp_sync_indices tr
-  in
+  let one = Prefix.build ~segments:1 ~jobs tr in
+  let plan_s = one.Prefix.plan and pp_s = one.Prefix.prepass in
+  let serial_tl = one.Prefix.timeline in
   let p = Prefix.build ~segments ~jobs tr in
   let name = Printf.sprintf "%s j%d seg%d" name jobs segments in
   Alcotest.(check int) (name ^ ": segments used") segments p.Prefix.segments;
@@ -238,7 +235,7 @@ let test_prefix_build () =
     (fun (jobs, segments) -> check_prefix_build "gen" ~jobs ~segments gen)
     [ (2, 3); (3, 50) ]
 
-(* Default segment selection: short traces and jobs<=1 stay serial. *)
+(* Default segment selection: short traces and jobs<=1 stay on one segment. *)
 let test_prefix_defaults () =
   let short =
     Trace_gen.generate ~seed:3

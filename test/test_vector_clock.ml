@@ -153,6 +153,23 @@ let prop_roundtrip =
       let trimmed = VC.to_list (vc l) in
       VC.equal (vc l) (vc trimmed))
 
+(* [to_list] trims trailing zeros only, in one pass: interior zeros
+   stay, and a lone far entry (49 999 leading zeros) is linear. *)
+let test_to_list () =
+  let check name expected l =
+    Alcotest.(check (list int)) name expected (VC.to_list (vc l))
+  in
+  check "trailing zeros trimmed" [ 1; 2 ] [ 1; 2; 0; 0 ];
+  check "interior zeros kept" [ 0; 3; 0; 0; 4 ] [ 0; 3; 0; 0; 4; 0 ];
+  check "all zeros" [] [ 0; 0; 0 ];
+  let far = VC.create () in
+  VC.set far 50_000 7;
+  let l = VC.to_list far in
+  Alcotest.(check int) "lone entry at 50 000: length" 50_001 (List.length l);
+  Alcotest.(check int) "lone entry at 50 000: value" 7 (List.nth l 50_000);
+  Alcotest.(check bool) "lone entry at 50 000: zeros before" true
+    (List.for_all (Int.equal 0) (List.filteri (fun i _ -> i < 50_000) l))
+
 let suite =
   ( "vector clock",
     [ Alcotest.test_case "bottom" `Quick test_bottom;
@@ -166,6 +183,8 @@ let suite =
       Alcotest.test_case "with_entry" `Quick test_with_entry;
       Alcotest.test_case "no capacity creep (regression)" `Quick
         test_no_capacity_creep;
+      Alcotest.test_case "to_list trims trailing zeros only" `Quick
+        test_to_list;
       prop_leq_refl;
       prop_leq_antisym;
       prop_leq_trans;
