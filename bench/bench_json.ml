@@ -24,59 +24,59 @@ let throughput ~events ~elapsed =
   if elapsed > 0. then float_of_int events /. elapsed else 0.
 
 let records : record list ref = ref []
-let add r = records := r :: !records
+
+(* The correctness half of every row, checked against ground truth as
+   it arrives: FastTrack is precise, so a sequential FastTrack row
+   warns on exactly the workload's known racy variables. *)
+let add r =
+  (if r.tool = "FastTrack" && r.plan <> "stealing" then
+     match Workloads.find r.workload with
+     | Some w when r.warnings <> w.Workload.expected_races ->
+       failwith
+         (Printf.sprintf
+            "%s/%s: FastTrack reported %d warning(s), the workload has \
+             %d known race(s) (precision regression)"
+            r.experiment r.workload r.warnings w.Workload.expected_races)
+     | _ -> ());
+  records := r :: !records
+
 let recorded () = List.rev !records
 let reset () = records := []
 
-(* Minimal JSON string escaping: our strings are tool/workload names,
-   but stay correct on arbitrary input. *)
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let record_to_json r =
+let record_json r =
+  let open Obs_json in
   (* The prefix/Amdahl fields only mean something for stealing-plan
-     rows; elsewhere they are zero and omitted to keep the other
-     experiments' records unchanged. *)
+     rows, the rate/recall fields only for sampling rows (-1 is the
+     "not a sampling row" sentinel; recall alone can be absent on a
+     race-free workload): elsewhere they are omitted. *)
   let prefix_fields =
     if r.prefix_wall > 0. || r.prefix_frac > 0. || r.amdahl_ceiling > 0.
     then
-      Printf.sprintf
-        ",\"prefix_wall\":%.6f,\"prefix_frac\":%.4f,\"amdahl_ceiling\":%.3f"
-        r.prefix_wall r.prefix_frac r.amdahl_ceiling
-    else ""
+      [ ("prefix_wall", float r.prefix_wall);
+        ("prefix_frac", float r.prefix_frac);
+        ("amdahl_ceiling", float r.amdahl_ceiling) ]
+    else []
   in
-  (* Same omission discipline for the sampling-tier fields: -1 is the
-     "not a sampling row" sentinel, so every pre-existing experiment's
-     record shape is unchanged.  recall alone can be absent (a rate
-     sweep on a race-free workload has no oracle to recall). *)
   let sampling_fields =
-    (if r.rate >= 0. then Printf.sprintf ",\"rate\":%.3f" r.rate else "")
-    ^
-    if r.recall >= 0. then Printf.sprintf ",\"recall\":%.4f" r.recall
-    else ""
+    (if r.rate >= 0. then [ ("rate", float r.rate) ] else [])
+    @ if r.recall >= 0. then [ ("recall", float r.recall) ] else []
   in
-  Printf.sprintf
-    "{\"experiment\":\"%s\",\"workload\":\"%s\",\"tool\":\"%s\",\
-     \"jobs\":%d,\"plan\":\"%s\",\"events\":%d,\"elapsed_s\":%.6f,\
-     \"throughput\":%.1f,\
-     \"slowdown\":%.3f,\"speedup\":%.3f,\"warnings\":%d,\
-     \"imbalance\":%.3f,\"static_elim\":%b,\"dropped_frac\":%.4f%s%s}"
-    (escape r.experiment) (escape r.workload) (escape r.tool) r.jobs
-    (escape r.plan) r.events r.elapsed r.throughput r.slowdown r.speedup
-    r.warnings r.imbalance r.static_elim r.dropped_frac prefix_fields
-    sampling_fields
+  obj
+    ([ ("experiment", str r.experiment);
+       ("workload", str r.workload);
+       ("tool", str r.tool);
+       ("jobs", int r.jobs);
+       ("plan", str r.plan);
+       ("events", int r.events);
+       ("elapsed_s", float r.elapsed);
+       ("throughput", float r.throughput);
+       ("slowdown", float r.slowdown);
+       ("speedup", float r.speedup);
+       ("warnings", int r.warnings);
+       ("imbalance", float r.imbalance);
+       ("static_elim", bool r.static_elim);
+       ("dropped_frac", float r.dropped_frac) ]
+    @ prefix_fields @ sampling_fields)
 
 (* Honesty marker: set when the harness ran parallel experiments on a
    host below the 4-core floor with --allow-few-cores.  Readers (CI,
@@ -86,25 +86,27 @@ let few_cores_override = ref false
 let set_few_cores_override v = few_cores_override := v
 
 let write ~scale ~repeat path =
+  let open Obs_json in
+  let host =
+    [ ("cores", int (Obs_cores.recommended ()));
+      ("ocaml", str Sys.ocaml_version);
+      ("word_size", int Sys.word_size) ]
+    @ if !few_cores_override then [ ("few_cores_override", bool true) ]
+      else []
+  in
+  let doc =
+    obj
+      [ ("host", obj host);
+        ("scale", int scale);
+        ("repeat", int repeat);
+        ("records", arr (List.map record_json (recorded ()))) ]
+  in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      Printf.fprintf oc
-        "{\"host\":{\"cores\":%d,\"ocaml\":\"%s\",\"word_size\":%d%s},\n\
-        \ \"scale\":%d,\"repeat\":%d,\n\
-        \ \"records\":[\n"
-        (Obs_cores.recommended ())
-        (escape Sys.ocaml_version) Sys.word_size
-        (if !few_cores_override then ",\"few_cores_override\":true" else "")
-        scale repeat;
-      let rs = recorded () in
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc "  %s%s\n" (record_to_json r)
-            (if i < List.length rs - 1 then "," else ""))
-        rs;
-      output_string oc " ]}\n");
+      to_channel oc doc;
+      output_char oc '\n');
   Printf.printf "wrote %d benchmark record(s) to %s\n"
     (List.length (recorded ()))
     path

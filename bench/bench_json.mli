@@ -3,8 +3,8 @@
     Experiments push one {!record} per (workload, tool, jobs)
     measurement; [main.ml] writes the accumulated records — plus host
     metadata needed to interpret them (core count, OCaml version) —
-    to the file named by [--json].  The output is plain JSON emitted
-    by hand (no JSON library in the image), shaped as
+    to the file named by [--json], rendered through {!Obs_json} and
+    shaped as
 
     {v
     { "host": { "cores": 4, "ocaml": "5.1.1", ... },
@@ -19,9 +19,8 @@ type record = {
   plan : string;
       (** which driver produced the row: ["stealing"] for parallel
           rows, ["seq"] for sequential ones (other experiments use
-          their own labels, e.g. ["seq+prof"]) — so regression tooling
-          can compare like with like.  Older trajectories also carry
-          ["static"] rows from a since-deleted broadcast plan *)
+          their own labels, e.g. ["seq+prof"]) — so readers can
+          compare like with like *)
   events : int;         (** trace length *)
   elapsed : float;      (** seconds (wall for parallel runs) *)
   throughput : float;   (** events / elapsed second; 0 when elapsed
@@ -62,8 +61,7 @@ type record = {
       (** sampling-tier rows only: the configured sampling rate of
           this cell.  [-1.] (omitted from the JSON) for every other
           experiment.  The rate is also encoded in [tool]
-          (["Sampling@0.10"]) so history keys distinguish sweep
-          points. *)
+          (["Sampling@0.10"]) so rows of one sweep stay distinct. *)
   recall : float;
       (** sampling-tier rows only: fraction of the FastTrack oracle's
           racy variables this cell's run warned about.  [-1.]
@@ -76,17 +74,15 @@ val throughput : events:int -> elapsed:float -> float
     the canonical way experiments fill the [throughput] field. *)
 
 val add : record -> unit
-(** Append to the global accumulator. *)
+(** Append to the global accumulator.
+    @raise Failure when a FastTrack row off the stealing plan reports
+    a warning count other than its workload's
+    [Workload.expected_races] (FastTrack is precise). *)
 
 val recorded : unit -> record list
 (** All records pushed so far, in push order. *)
 
 val reset : unit -> unit
-
-val record_to_json : record -> string
-(** One record as a single-line JSON object — the element shape of
-    {!write}'s ["records"] array, reused by the bench-history log so
-    both sides of a {!Bench_history.report} diff parse identically. *)
 
 val set_few_cores_override : bool -> unit
 (** Mark the run as having forced parallel experiments on a

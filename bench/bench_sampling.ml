@@ -110,6 +110,18 @@ let run ~scale ~repeat () =
                      "%s: rate 1.0 warnings differ from FastTrack — \
                       precision regression"
                      w.Workload.name);
+              (* sampling only skips checks, so it never warns where
+                 FastTrack does not *)
+              if
+                List.exists
+                  (fun x -> not (List.mem x oracle))
+                  (racy_vars result)
+              then
+                failwith
+                  (Printf.sprintf
+                     "%s: rate %.2f warns on a variable FastTrack does \
+                      not (precision regression)"
+                     w.Workload.name rate);
               let rec_ = mean_recall ~oracle ~rate d tr in
               Bench_json.add
                 { Bench_json.experiment = "sampling";

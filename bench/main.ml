@@ -40,8 +40,8 @@ let experiments :
 
 (* Experiments whose headline numbers are multicore speedups: running
    them on a starved host produces cells that look like measurements
-   but are noise (the committed BENCH_parallel.json was once exactly
-   that — every jobs>1 cell < 1x on a 1-core container).  Refuse below
+   but are noise (a BENCH_parallel.json once committed here was
+   exactly that — every jobs>1 cell < 1x on a 1-core container).  Refuse below
    the floor unless the caller owns the decision with
    --allow-few-cores; the override is stamped into the JSON host
    header so downstream readers can tell. *)
@@ -51,11 +51,7 @@ let min_cores = 4
 let usage () =
   prerr_endline
     "usage: main.exe [--scale N] [--repeat N] [--json FILE] \
-     [--metrics FILE] [--history DIR] [--allow-few-cores] \
-     [experiment ...]";
-  prerr_endline
-    "       main.exe history --history DIR [--baseline FILE] \
-     [--tolerance F]";
+     [--metrics FILE] [--allow-few-cores] [experiment ...]";
   Printf.eprintf "experiments: %s (default: all)\n"
     (String.concat " " (List.map fst experiments));
   exit 2
@@ -65,10 +61,6 @@ let () =
   let repeat = ref 3 in
   let json = ref None in
   let metrics = ref None in
-  let history = ref None in
-  let baseline = ref "BENCH_parallel.json" in
-  let tolerance = ref 0.25 in
-  let history_report = ref false in
   let allow_few_cores = ref false in
   let chosen = ref [] in
   let rec parse = function
@@ -85,18 +77,6 @@ let () =
     | "--metrics" :: path :: rest ->
       metrics := Some path;
       parse rest
-    | "--history" :: dir :: rest ->
-      history := Some dir;
-      parse rest
-    | "--baseline" :: path :: rest ->
-      baseline := path;
-      parse rest
-    | "--tolerance" :: v :: rest ->
-      tolerance := float_of_string v;
-      parse rest
-    | "history" :: rest ->
-      history_report := true;
-      parse rest
     | "--allow-few-cores" :: rest ->
       allow_few_cores := true;
       parse rest
@@ -106,18 +86,6 @@ let () =
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !history_report then begin
-    (* `history` is a report-only pseudo-command: diff the history log
-       against the committed baseline and exit; no experiment runs. *)
-    match !history with
-    | None ->
-      prerr_endline "history: --history DIR is required";
-      exit 2
-    | Some dir ->
-      exit
-        (Bench_history.report ~dir ~baseline:!baseline
-           ~tolerance:!tolerance)
-  end;
   let chosen =
     match List.rev !chosen with
     | [] -> List.map fst experiments
@@ -159,9 +127,6 @@ let () =
       print_newline ())
     chosen;
   Option.iter (Bench_json.write ~scale:!scale ~repeat:!repeat) !json;
-  Option.iter
-    (fun dir -> Bench_history.append ~dir ~scale:!scale ~repeat:!repeat)
-    !history;
   Option.iter
     (fun path ->
       Obs.gc_sample_full obs;

@@ -551,7 +551,7 @@ let analyze path tool granularity sampling jobs prefilter static_elim
           if file <> "-" then Printf.printf "wrote metrics to %s\n" file)
         metrics;
       (* The ftrace.prof/1 export: the run's merged profile (cells,
-         census, top-K, timing) plus the result's stats counters for
+         census, ranking, timing) plus the result's stats counters for
          cross-checking. *)
       Option.iter
         (fun file ->
@@ -687,7 +687,7 @@ let analyze_cmd =
                    document (schema $(b,ftrace.prof/1): per-variable \
                    cost attribution with Figure 5 rule and cost-class \
                    counts, shadow census with inflation lifecycle, \
-                   heavy-hitter top-K table, sampled timing buckets) to \
+                   hot-variable ranking, sampled timing buckets) to \
                    $(docv); $(b,-) writes to stdout.  See also \
                    $(b,ftrace profile) for the human panel.")
   in
@@ -1006,7 +1006,16 @@ let watch path once interval width =
       else print_endline (Obs_watch.render_line st);
       flush stdout
     in
-    let verdict () = if Obs_watch.warnings st > 0 then 2 else 0 in
+    (* A stream that ends before its final record carries no verdict:
+       a clean exit there would read as "no races". *)
+    let verdict () =
+      if not (Obs_watch.final st) then begin
+        prerr_endline (path ^ ": stream has no final record");
+        1
+      end
+      else if Obs_watch.warnings st > 0 then 2
+      else 0
+    in
     if once then begin
       (* read to EOF, render the latest state once *)
       let rec slurp () =
@@ -1022,12 +1031,18 @@ let watch path once interval width =
     end
     else begin
       (* follow until the final record (like tail -f; interrupt to
-         stop early if the producer never finishes) *)
+         stop early if the producer never finishes).  Only a regular
+         file can still grow after a 0-byte read; on a pipe or
+         terminal that read is EOF. *)
+      let growable = (Unix.fstat fd).Unix.st_kind = Unix.S_REG in
       let rec loop last_seq =
         let n = Unix.read fd buf 0 (Bytes.length buf) in
         if n = 0 then begin
-          Unix.sleepf interval;
-          loop last_seq
+          if growable then begin
+            Unix.sleepf interval;
+            loop last_seq
+          end
+          else verdict ()
         end
         else begin
           feed_chunk n;

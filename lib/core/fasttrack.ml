@@ -81,16 +81,6 @@ type t = {
   w_shared : int ref;
 }
 
-(* Reconcile the profiler's class totals from our own rule counters
-   (the inlined protocol: the hot path only bumps the per-cell array;
-   the redundant global totals are pushed here, at sample and census
-   boundaries).  The groupings follow [prof_rules]' class column. *)
-let note_totals d =
-  Obs_prof.note_totals d.prof
-    ~same:(!(d.r_same_epoch) + !(d.w_same_epoch))
-    ~epoch:(!(d.r_shared) + !(d.r_exclusive) + !(d.w_exclusive))
-    ~vc:(!(d.r_share) + !(d.w_shared))
-
 (* Per-cell attribution, the whole enabled hot path: one unchecked
    increment of the cached rules array, plus the sampled access's
    cell/class handoff (cold: one access per stride). *)
@@ -103,7 +93,6 @@ let[@inline always] prof_bump d st i ~vc =
    memory, including the read VC's share (a deflated variable keeps
    its vector allocated for reuse — still billed, not inflated). *)
 let census d =
-  note_totals d;
   Shadow.iter
     (fun st ->
       let inflated = Epoch.equal st.r read_shared in
@@ -370,8 +359,13 @@ let on_event d ~index e =
         analyze d ~index e;
         let ns = (Obs_clock.now () -. t0) *. 1e9 in
         d.prof_sampling <- false;
-        note_totals d;
+        (* the counter-track point: cumulative O(1) and VC-walk
+           accesses, grouped as [prof_rules]' class column *)
         Obs_prof.sample d.prof ~ns
+          ~o1:
+            (!(d.r_same_epoch) + !(d.w_same_epoch) + !(d.r_shared)
+            + !(d.r_exclusive) + !(d.w_exclusive))
+          ~vc:(!(d.r_share) + !(d.w_shared))
       end
       else analyze d ~index e
     end

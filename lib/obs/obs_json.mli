@@ -1,6 +1,6 @@
-(** Minimal hand-rolled JSON emission (no JSON library in the image;
-    same style as [Bench_json], factored so the observability exporters
-    and the CLI share one escaper).
+(** Minimal hand-rolled JSON emission (no JSON library in the image):
+    the one writer the observability exporters, the CLI and the bench
+    harness's [--json] records share.
 
     A value is a function that appends its rendering to a buffer, so
     documents compose without intermediate strings. *)

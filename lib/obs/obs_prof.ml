@@ -43,18 +43,12 @@ let no_cell =
 let buckets_n = 40  (* log2-ns buckets: 2^0 .. 2^39 ns *)
 
 type enabled = {
-  topk_cap : int;
   stride : int;
   series_cap : int;
   start : float;  (* monotonic epoch shared by all views of a run *)
-  series_id : int;
   mutable rule_names : string array;
   mutable rule_classes : rule_class array;
   cells : (int, cell) Hashtbl.t;
-  (* per-class totals (one access = one rule = one class) *)
-  mutable tot_same : int;
-  mutable tot_epoch : int;
-  mutable tot_vc : int;
   mutable sync_vc_ops : int;
   mutable tot_inflations : int;
   mutable tot_deflations : int;
@@ -71,13 +65,11 @@ type enabled = {
   mutable cs_inflated : int;
   mutable cs_words : int;
   mutable cs_rvc_words : int;
-  (* bounded cumulative series, newest first: (view id, at, o1, vc) *)
-  mutable series_rev : (int * float * int * int) list;
+  (* bounded cumulative series, newest first: (at, o1, vc) *)
+  mutable series_rev : (float * int * int) list;
   mutable series_n : int;
   mutable series_stride : int;  (* samples per point; doubles on thin *)
   mutable series_skip : int;
-  topk : Obs_topk.t;
-  mutable folded : bool;
 }
 
 type t = enabled option
@@ -85,22 +77,13 @@ type t = enabled option
 let disabled : t = None
 let is_enabled = Option.is_some
 
-(* Shard views need distinct series ids; views are created on worker
-   domains, so the counter is atomic. *)
-let next_id = Atomic.make 0
-
-let make ~topk_cap ~stride ~series_cap ~start =
-  { topk_cap;
-    stride;
+let make ~stride ~series_cap ~start =
+  { stride;
     series_cap;
     start;
-    series_id = Atomic.fetch_and_add next_id 1;
     rule_names = [||];
     rule_classes = [||];
     cells = Hashtbl.create 256;
-    tot_same = 0;
-    tot_epoch = 0;
-    tot_vc = 0;
     sync_vc_ops = 0;
     tot_inflations = 0;
     tot_deflations = 0;
@@ -118,15 +101,12 @@ let make ~topk_cap ~stride ~series_cap ~start =
     series_rev = [];
     series_n = 0;
     series_stride = 1;
-    series_skip = 0;
-    topk = Obs_topk.create ~capacity:topk_cap ();
-    folded = false }
+    series_skip = 0 }
 
-let create ?(topk_capacity = 256) ?(sample_stride = 512)
-    ?(series_capacity = 512) () : t =
+let create ?(sample_stride = 512) ?(series_capacity = 512) () : t =
   Some
-    (make ~topk_cap:(max 1 topk_capacity) ~stride:(max 1 sample_stride)
-       ~series_cap:(max 16 series_capacity) ~start:(Obs_clock.now ()))
+    (make ~stride:(max 1 sample_stride) ~series_cap:(max 16 series_capacity)
+       ~start:(Obs_clock.now ()))
 
 (* ------------------------------------------------------------------ *)
 (* Detector-side hooks                                                *)
@@ -155,13 +135,11 @@ let cell (t : t) ~key ~name =
       Hashtbl.replace e.cells key c;
       c)
 
-(* The fully-inlined protocol: a detector that already counts rule
-   hits in its own registers (FastTrack's [Stats.counter] refs) keeps
-   {e only} the per-cell increment on its hot path — through the raw
-   array {!cell_rules} hands out, no call, no option match — and
-   reconciles the class totals at sample and census boundaries via
-   {!note_totals}.  {!attribute} records the cell of the one access
-   per stride that is being timed. *)
+(* The fully-inlined protocol: the detector's hot path keeps {e only}
+   the per-cell increment — through the raw array {!cell_rules} hands
+   out, no call, no option match.  Every total is a sum of the cells,
+   taken at the cold consumers.  {!attribute} records the cell of the
+   one access per stride that is being timed. *)
 
 let cell_rules c = c.c_rules
 
@@ -171,14 +149,6 @@ let attribute (t : t) c ~vc =
   | Some e ->
     e.last_cell <- c;
     e.last_vc <- vc
-
-let note_totals (t : t) ~same ~epoch ~vc =
-  match t with
-  | None -> ()
-  | Some e ->
-    e.tot_same <- same;
-    e.tot_epoch <- epoch;
-    e.tot_vc <- vc
 
 let inflate (t : t) c =
   match t with
@@ -212,34 +182,33 @@ let log2_bucket ns =
     min (buckets_n - 1) (lg 0 n)
   end
 
-(* Thin the view's own series: keep every other point (oldest-first
-   parity, so the endpoints survive) and double the stride.  Cold:
-   runs O(log total-samples) times per view. *)
-let thin_series e =
-  let kept =
-    List.rev e.series_rev
-    |> List.filteri (fun i _ -> i mod 2 = 0)
-    |> List.rev
-  in
-  e.series_rev <- kept;
-  e.series_n <- List.length kept;
-  e.series_stride <- e.series_stride * 2
+(* Thin the series until it fits its capacity: each pass keeps every
+   other point plus the first and the last, and doubles the stride.
+   Cold: runs O(log total-samples) times per view, and after a merge. *)
+let rec thin_series e =
+  if e.series_n > e.series_cap then begin
+    let last = e.series_n - 1 in
+    let kept =
+      List.rev e.series_rev
+      |> List.filteri (fun i _ -> i mod 2 = 0 || i = last)
+      |> List.rev
+    in
+    e.series_rev <- kept;
+    e.series_n <- List.length kept;
+    e.series_stride <- e.series_stride * 2;
+    thin_series e
+  end
 
-let push_point e =
+let push_point e ~o1 ~vc =
   e.series_skip <- e.series_skip - 1;
   if e.series_skip <= 0 then begin
     e.series_skip <- e.series_stride;
-    e.series_rev <-
-      ( e.series_id,
-        Obs_clock.now () -. e.start,
-        e.tot_same + e.tot_epoch,
-        e.tot_vc )
-      :: e.series_rev;
+    e.series_rev <- (Obs_clock.now () -. e.start, o1, vc) :: e.series_rev;
     e.series_n <- e.series_n + 1;
-    if e.series_n > e.series_cap then thin_series e
+    thin_series e
   end
 
-let sample (t : t) ~ns =
+let sample (t : t) ~ns ~o1 ~vc =
   match t with
   | None -> ()
   | Some e ->
@@ -250,10 +219,10 @@ let sample (t : t) ~ns =
     let b = log2_bucket ns in
     buckets.(b) <- buckets.(b) + 1;
     e.t_samples <- e.t_samples + 1;
-    push_point e
+    push_point e ~o1 ~vc
 
 (* ------------------------------------------------------------------ *)
-(* Census + top-K fold                                                *)
+(* Census                                                             *)
 
 let set_census (t : t) f =
   match t with None -> () | Some e -> e.census_cb <- Some f
@@ -269,23 +238,11 @@ let census_var (t : t) c ~inflated ~words ~rvc_words =
     c.c_inflated_now <- inflated;
     c.c_rvc_words <- rvc_words
 
-let cell_total c = Array.fold_left ( + ) 0 c.c_rules
-
-let fold_topk e =
-  if not e.folded then begin
-    Hashtbl.iter
-      (fun key c ->
-        let n = cell_total c in
-        if n > 0 then Obs_topk.hit ~by:n e.topk key)
-      e.cells;
-    e.folded <- true
-  end
-
 let take_census (t : t) =
   match t with
   | None -> ()
-  | Some e ->
-    (match e.census_cb with
+  | Some e -> (
+    match e.census_cb with
     | None -> ()
     | Some f ->
       e.cs_vars <- 0;
@@ -293,8 +250,7 @@ let take_census (t : t) =
       e.cs_words <- 0;
       e.cs_rvc_words <- 0;
       f ();
-      e.census_taken <- true);
-    fold_topk e
+      e.census_taken <- true)
 
 (* ------------------------------------------------------------------ *)
 (* Sharding                                                           *)
@@ -303,11 +259,7 @@ let shard_view (t : t) : t =
   match t with
   | None -> None
   | Some e ->
-    let v =
-      make ~topk_cap:e.topk_cap ~stride:e.stride ~series_cap:e.series_cap
-        ~start:e.start
-    in
-    Some v
+    Some (make ~stride:e.stride ~series_cap:e.series_cap ~start:e.start)
 
 let merge_cell ~into:d c =
   let n = min (Array.length d.c_rules) (Array.length c.c_rules) in
@@ -320,6 +272,22 @@ let merge_cell ~into:d c =
   d.c_rvc_words <- d.c_rvc_words + c.c_rvc_words;
   d.c_ns <- d.c_ns +. c.c_ns;
   d.c_samples <- d.c_samples + c.c_samples
+
+(* Sum two chronological cumulative series as step functions: each
+   output point carries its own side's value plus the other side's
+   latest (0 before that side's first point); ties keep [a] first. *)
+let sum_series a b =
+  let rec go acc (ao, av) (bo, bv) a b =
+    match (a, b) with
+    | [], [] -> List.rev acc
+    | (at, o, v) :: a', (bt, _, _) :: _ when at <= bt ->
+      go ((at, o + bo, v + bv) :: acc) (o, v) (bo, bv) a' b
+    | (at, o, v) :: a', [] ->
+      go ((at, o + bo, v + bv) :: acc) (o, v) (bo, bv) a' b
+    | _, (bt, o, v) :: b' ->
+      go ((bt, ao + o, av + v) :: acc) (ao, av) (o, v) a b'
+  in
+  go [] (0, 0) (0, 0) a b
 
 let merge ~(into : t) (src : t) =
   match (into, src) with
@@ -335,9 +303,6 @@ let merge ~(into : t) (src : t) =
       d.rule_names <- s.rule_names;
       d.rule_classes <- s.rule_classes
     end;
-    d.tot_same <- d.tot_same + s.tot_same;
-    d.tot_epoch <- d.tot_epoch + s.tot_epoch;
-    d.tot_vc <- d.tot_vc + s.tot_vc;
     d.sync_vc_ops <- d.sync_vc_ops + s.sync_vc_ops;
     d.tot_inflations <- d.tot_inflations + s.tot_inflations;
     d.tot_deflations <- d.tot_deflations + s.tot_deflations;
@@ -353,73 +318,13 @@ let merge ~(into : t) (src : t) =
     d.cs_inflated <- d.cs_inflated + s.cs_inflated;
     d.cs_words <- d.cs_words + s.cs_words;
     d.cs_rvc_words <- d.cs_rvc_words + s.cs_rvc_words;
-    d.series_rev <- s.series_rev @ d.series_rev;
+    d.series_rev <-
+      List.rev (sum_series (List.rev d.series_rev) (List.rev s.series_rev));
     d.series_n <- d.series_n + s.series_n;
-    Obs_topk.merge ~into:d.topk s.topk;
-    d.folded <- d.folded || s.folded
+    thin_series d
 
 (* ------------------------------------------------------------------ *)
 (* Consumers                                                          *)
-
-let vc_walks (t : t) = match t with None -> 0 | Some e -> e.tot_vc
-let inflated_now (t : t) = match t with None -> 0 | Some e -> e.cs_inflated
-
-let accesses (t : t) =
-  match t with
-  | None -> 0
-  | Some e -> e.tot_same + e.tot_epoch + e.tot_vc
-
-let frac num den = if den <= 0 then 0. else float_of_int num /. float_of_int den
-
-let fast_frac (t : t) =
-  match t with
-  | None -> 0.
-  | Some e -> frac (e.tot_same + e.tot_epoch) (accesses t)
-
-let same_epoch_frac (t : t) =
-  match t with None -> 0. | Some e -> frac e.tot_same (accesses t)
-
-let ranked_cells e =
-  Hashtbl.fold (fun _ c acc -> (c, cell_total c) :: acc) e.cells []
-  |> List.filter (fun (_, n) -> n > 0)
-  |> List.sort (fun (a, na) (b, nb) ->
-         match Int.compare nb na with
-         | 0 -> compare a.c_name b.c_name
-         | c -> c)
-
-let hot_alist ?(k = 5) (t : t) =
-  match t with
-  | None -> []
-  | Some e ->
-    ranked_cells e
-    |> List.filteri (fun i _ -> i < k)
-    |> List.map (fun (c, n) -> (c.c_name, n))
-
-let series (t : t) =
-  match t with
-  | None -> []
-  | Some e ->
-    let pts =
-      List.rev e.series_rev
-      |> List.stable_sort (fun (_, a, _, _) (_, b, _, _) ->
-             Float.compare a b)
-    in
-    (* each view's points are cumulative for that view; the global
-       cumulative at time t is the sum of each view's latest value *)
-    let latest = Hashtbl.create 8 in
-    List.map
-      (fun (id, at, o1, vc) ->
-        Hashtbl.replace latest id (o1, vc);
-        let f, v =
-          Hashtbl.fold
-            (fun _ (f, v) (af, av) -> (af + f, av + v))
-            latest (0, 0)
-        in
-        (at, f, v))
-      pts
-
-(* ------------------------------------------------------------------ *)
-(* ftrace.prof/1                                                      *)
 
 let rules_totals e =
   let n = Array.length e.rule_names in
@@ -431,6 +336,66 @@ let rules_totals e =
       done)
     e.cells;
   totals
+
+(* The sum of a per-rule counter array over the rules of one class. *)
+let by_class e rules cls =
+  let acc = ref 0 in
+  for i = 0 to min (Array.length e.rule_classes) (Array.length rules) - 1 do
+    if e.rule_classes.(i) = cls then acc := !acc + rules.(i)
+  done;
+  !acc
+
+(* Run-wide (same-epoch, epoch, vc) totals, summed from the cells. *)
+let class_totals (t : t) =
+  match t with
+  | None -> (0, 0, 0)
+  | Some e ->
+    let totals = rules_totals e in
+    (by_class e totals Same_epoch, by_class e totals Epoch,
+     by_class e totals Vc)
+
+let accesses t =
+  let same, epoch, vc = class_totals t in
+  same + epoch + vc
+
+let vc_walks t =
+  let _, _, vc = class_totals t in
+  vc
+
+let inflated_now (t : t) = match t with None -> 0 | Some e -> e.cs_inflated
+let frac num den = if den <= 0 then 0. else float_of_int num /. float_of_int den
+
+let fast_frac t =
+  let same, epoch, vc = class_totals t in
+  frac (same + epoch) (same + epoch + vc)
+
+let same_epoch_frac t =
+  let same, epoch, vc = class_totals t in
+  frac same (same + epoch + vc)
+
+(* The one ranking of the exact cells: ops descending, key ascending. *)
+let ranked_cells e =
+  Hashtbl.fold
+    (fun _ c acc ->
+      let n = Array.fold_left ( + ) 0 c.c_rules in
+      if n > 0 then (c, n) :: acc else acc)
+    e.cells []
+  |> List.sort (fun (a, na) (b, nb) ->
+         match Int.compare nb na with
+         | 0 -> Int.compare a.c_key b.c_key
+         | c -> c)
+
+let top_cells ~k e = List.filteri (fun i _ -> i < k) (ranked_cells e)
+
+let hot_alist ?(k = 5) (t : t) =
+  match t with
+  | None -> []
+  | Some e -> List.map (fun (c, n) -> (c.c_name, n)) (top_cells ~k e)
+
+let series (t : t) = match t with None -> [] | Some e -> List.rev e.series_rev
+
+(* ------------------------------------------------------------------ *)
+(* ftrace.prof/1                                                      *)
 
 let ever_inflated e =
   Hashtbl.fold
@@ -447,25 +412,15 @@ let buckets_json buckets =
     |> List.map (fun (i, n) ->
            Obs_json.arr [ Obs_json.int i; Obs_json.int n ]))
 
-let cell_json e ~count ~err c =
-  let n = Array.length e.rule_names in
-  let by_class cls =
-    let acc = ref 0 in
-    for i = 0 to min n (Array.length c.c_rules) - 1 do
-      if e.rule_classes.(i) = cls then acc := !acc + c.c_rules.(i)
-    done;
-    !acc
-  in
-  let same = by_class Same_epoch
-  and epoch = by_class Epoch
-  and vc = by_class Vc in
+let cell_json e c =
+  let same = by_class e c.c_rules Same_epoch
+  and epoch = by_class e c.c_rules Epoch
+  and vc = by_class e c.c_rules Vc in
   let ops = same + epoch + vc in
   Obs_json.obj
     [ ("var", Obs_json.str c.c_name);
       ("key", Obs_json.int c.c_key);
       ("ops", Obs_json.int ops);
-      ("count", Obs_json.int count);
-      ("count_err", Obs_json.int err);
       ("same_epoch", Obs_json.int same);
       ("epoch", Obs_json.int epoch);
       ("vc", Obs_json.int vc);
@@ -478,23 +433,6 @@ let cell_json e ~count ~err c =
       ("ns_per_op",
        if c.c_samples = 0 then Obs_json.null
        else Obs_json.float (c.c_ns /. float_of_int c.c_samples)) ]
-
-let top_vars_json e ~top =
-  fold_topk e;
-  Obs_topk.to_list e.topk
-  |> List.filteri (fun i _ -> i < top)
-  |> List.map (fun (key, count, err) ->
-         match Hashtbl.find_opt e.cells key with
-         | Some c -> cell_json e ~count ~err c
-         | None ->
-           (* streaming regime: the sketch tracks a key whose cell was
-              never materialized here *)
-           Obs_json.obj
-             [ ("var", Obs_json.str (Printf.sprintf "key:%d" key));
-               ("key", Obs_json.int key);
-               ("ops", Obs_json.int count);
-               ("count", Obs_json.int count);
-               ("count_err", Obs_json.int err) ])
 
 let document ?(source = "") ?(tool = "") ?(wall = 0.)
     ?(stats = []) ?(top = 20) (t : t) =
@@ -512,7 +450,8 @@ let document ?(source = "") ?(tool = "") ?(wall = 0.)
           ("totals",
            Obs_json.obj [ ("accesses", Obs_json.int 0) ]) ])
   | Some e ->
-    let acc = accesses t in
+    let same, epoch, vc = class_totals t in
+    let acc = same + epoch + vc in
     let totals = rules_totals e in
     Obs_json.obj
       (base
@@ -520,9 +459,9 @@ let document ?(source = "") ?(tool = "") ?(wall = 0.)
           ("totals",
            Obs_json.obj
              [ ("accesses", Obs_json.int acc);
-               ("same_epoch", Obs_json.int e.tot_same);
-               ("epoch", Obs_json.int e.tot_epoch);
-               ("vc", Obs_json.int e.tot_vc);
+               ("same_epoch", Obs_json.int same);
+               ("epoch", Obs_json.int epoch);
+               ("vc", Obs_json.int vc);
                ("fast_frac", Obs_json.float (fast_frac t));
                ("same_epoch_frac", Obs_json.float (same_epoch_frac t));
                ("sync_vc_ops", Obs_json.int e.sync_vc_ops) ]);
@@ -551,14 +490,9 @@ let document ?(source = "") ?(tool = "") ?(wall = 0.)
                ("state_words", Obs_json.int e.cs_words);
                ("rvc_words", Obs_json.int e.cs_rvc_words);
                ("approx_bytes", Obs_json.int (e.cs_words * word_bytes)) ]);
-          ("top_vars", Obs_json.arr (top_vars_json e ~top));
-          ("topk",
-           Obs_json.obj
-             [ ("capacity", Obs_json.int (Obs_topk.capacity e.topk));
-               ("size", Obs_json.int (Obs_topk.size e.topk));
-               ("exact", Obs_json.bool (Obs_topk.is_exact e.topk));
-               ("evictions", Obs_json.int (Obs_topk.evictions e.topk));
-               ("dropped", Obs_json.int (Obs_topk.dropped e.topk)) ]);
+          ("top_vars",
+           Obs_json.arr
+             (List.map (fun (c, _) -> cell_json e c) (top_cells ~k:top e)));
           ("timing",
            Obs_json.obj
              [ ("stride", Obs_json.int e.stride);
@@ -624,7 +558,8 @@ let render ?(top = 10) ?(source = "") ?(tool = "") (t : t) =
   match t with
   | None -> [ "profile: disabled" ]
   | Some e ->
-    let acc = accesses t in
+    let same, epoch, vc = class_totals t in
+    let acc = same + epoch + vc in
     let header =
       Printf.sprintf "== profile: %s%s =="
         (if source = "" then "(run)" else source)
@@ -634,9 +569,9 @@ let render ?(top = 10) ?(source = "") ?(tool = "") (t : t) =
       Printf.sprintf
         "accesses  %s | O(1) %s (same-epoch %s) | VC walks %s | sync-vc %s"
         (si acc)
-        (pct (fast_frac t))
-        (pct (same_epoch_frac t))
-        (pct (frac e.tot_vc acc))
+        (pct (frac (same + epoch) acc))
+        (pct (frac same acc))
+        (pct (frac vc acc))
         (si e.sync_vc_ops)
     in
     let totals = rules_totals e in
@@ -680,44 +615,22 @@ let render ?(top = 10) ?(source = "") ?(tool = "") (t : t) =
         (med "O(1) p50" e.buckets_fast)
         (med "vc p50" e.buckets_vc)
     in
-    let topk_note =
-      if Obs_topk.is_exact e.topk then "exact"
-      else
-        Printf.sprintf "approx: %d evictions, max dropped %d"
-          (Obs_topk.evictions e.topk)
-          (Obs_topk.dropped e.topk)
-    in
-    fold_topk e;
-    let var_header =
-      Printf.sprintf "top variables by detector ops (%s):" topk_note
-    in
     let var_lines =
-      Obs_topk.to_list e.topk
-      |> List.filteri (fun i _ -> i < top)
-      |> List.mapi (fun i (key, count, _) ->
-             match Hashtbl.find_opt e.cells key with
-             | None ->
-               Printf.sprintf "  %2d  key:%-10d %10s" (i + 1) key
-                 (si count)
-             | Some c ->
-               let n = Array.length e.rule_names in
-               let vc = ref 0 in
-               for j = 0 to min n (Array.length c.c_rules) - 1 do
-                 if e.rule_classes.(j) = Vc then
-                   vc := !vc + c.c_rules.(j)
-               done;
-               let ops = cell_total c in
-               Printf.sprintf
-                 "  %2d  %-12s %10s  fast %-6s vc %-6s infl %d%s%s"
-                 (i + 1) c.c_name (si ops)
-                 (pct (frac (ops - !vc) ops))
-                 (si !vc) c.c_inflations
-                 (if c.c_inflated_now then " [inflated]" else "")
-                 (if c.c_samples > 0 then
-                    Printf.sprintf "  ~%.0fns/op"
-                      (c.c_ns /. float_of_int c.c_samples)
-                  else ""))
+      List.mapi
+        (fun i (c, ops) ->
+          let vc = by_class e c.c_rules Vc in
+          Printf.sprintf "  %2d  %-12s %10s  fast %-6s vc %-6s infl %d%s%s"
+            (i + 1) c.c_name (si ops)
+            (pct (frac (ops - vc) ops))
+            (si vc) c.c_inflations
+            (if c.c_inflated_now then " [inflated]" else "")
+            (if c.c_samples > 0 then
+               Printf.sprintf "  ~%.0fns/op"
+                 (c.c_ns /. float_of_int c.c_samples)
+             else ""))
+        (top_cells ~k:top e)
     in
     (header :: totals_line :: rule_lines)
-    @ [ census_line; memory_line; timing_line; var_header ]
+    @ [ census_line; memory_line; timing_line;
+        "top variables by detector ops:" ]
     @ var_lines

@@ -10,10 +10,10 @@
     inflation/deflation transitions of the read history, and lets the
     driver take a final (or periodic) {e census} of the shadow state
     classifying each variable as epoch-only vs inflated and summing
-    its approximate memory footprint.  A mergeable Space-Saving
-    sketch ({!Obs_topk}) ranks the hot variables in bounded memory so
-    the ranking survives the planned streaming front-end, where
-    per-variable exact cells will not fit.
+    its approximate memory footprint.  The cells are the one exact
+    record: the class totals, the per-rule hits and the hot-variable
+    ranking are all sums and sorts of them, taken at the cold
+    consumers.
 
     {b Cost model} (measured by [bench profile], gated at <= 10% on
     moldyn): disabled, the handle is an immediate [None] — detectors
@@ -21,19 +21,18 @@
     per access.  Enabled, an access costs one array increment through
     {!cell_rules} plus the detector's own countdown decrement for the
     timing sampler; the clock is only read once per [sample_stride]
-    accesses.  Census, top-K folds
-    and exports run off the hot path entirely.
+    accesses.  Census, ranking and exports run off the hot path
+    entirely.
 
     Like the other [lib/obs] facilities, this module sits below the
     detector library: it deals in integer keys and display names, not
     [Var.t] or [Stats.t].
 
     {b Sharding}: each work item of a parallel run profiles into a
-    private {!shard_view} (fresh cells, fresh sketch), and the driver
-    {!merge}s the views on the main domain after the parallel
-    region.  Variable sharding makes the
-    per-key cells disjoint, so the merge is a move and the merged
-    profile (including the top-K, see {!Obs_topk}) equals the
+    private {!shard_view} (fresh cells), and the driver {!merge}s the
+    views on the main domain after the parallel region.  Variable
+    sharding makes the per-key cells disjoint, so the merge is a move
+    and the merged profile (totals and ranking included) equals the
     sequential run's exactly. *)
 
 type t
@@ -50,17 +49,11 @@ val class_to_string : rule_class -> string
 val disabled : t
 val is_enabled : t -> bool
 
-val create :
-  ?topk_capacity:int ->
-  ?sample_stride:int ->
-  ?series_capacity:int ->
-  unit ->
-  t
-(** An enabled profiler.  [topk_capacity] (default 256) bounds the
-    heavy-hitter sketch; [sample_stride] (default 512) is the access
+val create : ?sample_stride:int -> ?series_capacity:int -> unit -> t
+(** An enabled profiler.  [sample_stride] (default 512) is the access
     period of the timing sampler; [series_capacity] (default 512)
     bounds the Perfetto counter-track series (it thins by 2x and
-    doubles its stride when full). *)
+    doubles its stride when full, and after a {!merge}). *)
 
 (** {2 Detector-side hooks} *)
 
@@ -81,9 +74,7 @@ val cell_rules : cell -> int array
 (** The cell's raw per-rule counter array, for detectors that inline
     the increment itself (cache the array next to the shadow state,
     bump [a.(i)] directly).  A detector on this protocol must also
-    call {!note_totals} whenever the profiler is about to read global
-    state — before each {!sample} and at the start of its census
-    walker — and {!attribute} on the access being timed.
+    call {!attribute} on the access being timed.
     This is the protocol the overhead gate in [bench profile] prices:
     the per-access cost is one array increment plus one cached-bool
     test. *)
@@ -93,11 +84,6 @@ val attribute : t -> cell -> vc:bool -> unit
     access being timed, for {!sample} to attribute.  Called from the
     rule site, only on the one access per stride the detector is
     sampling. *)
-
-val note_totals : t -> same:int -> epoch:int -> vc:int -> unit
-(** Reconcile the class totals from the detector's own counters
-    (absolute values, not deltas).  Cold: sample and census
-    boundaries only. *)
 
 val inflate : t -> cell -> unit
 (** The variable's read history just inflated to a vector clock
@@ -122,10 +108,11 @@ val sample_stride : t -> int
     — read it once at creation, bracket the access whose countdown
     expires with [Obs_clock.now], and report {!sample}. *)
 
-val sample : t -> ns:float -> unit
+val sample : t -> ns:float -> o1:int -> vc:int -> unit
 (** Record a sampled access duration, attributed to the cell and cost
     class the last {!attribute} recorded, into log2-ns buckets; also
-    advances the counter-track series. *)
+    advances the counter-track series with the detector's cumulative
+    O(1)-rule ([o1]) and VC-walk ([vc]) access counts. *)
 
 (** {2 Census} *)
 
@@ -141,26 +128,29 @@ val census_var :
     epoch-only). *)
 
 val take_census : t -> unit
-(** Run the registered walker (resetting previous census counts) and
-    fold the cells into the top-K sketch.  Drivers call this at end
-    of run / item, on the domain that owns the cells. *)
+(** Run the registered walker (resetting previous census counts).
+    Drivers call this at end of run / item, on the domain that owns
+    the cells. *)
 
 (** {2 Sharding} *)
 
 val shard_view : t -> t
 (** A private view sharing the parent's configuration and clock epoch
-    (so series timestamps align) but owning fresh cells and a fresh
-    sketch.  Disabled parent => disabled view. *)
+    (so series timestamps align) but owning fresh cells.  Disabled
+    parent => disabled view. *)
 
 val merge : into:t -> t -> unit
 (** Fold a view back into the parent (cells move — disjoint keys
-    under variable sharding; totals, buckets, census and sketch
-    add).  Main-domain, post-region only. *)
+    under variable sharding; buckets and census add; the counter
+    series sum as step functions and thin back to [series_capacity],
+    keeping their first and last points).  Main-domain, post-region
+    only. *)
 
 (** {2 Consumers} *)
 
 val accesses : t -> int
-(** Attributed accesses so far ([Same_epoch + Epoch + Vc] totals). *)
+(** Attributed accesses so far: the cells' [Same_epoch + Epoch + Vc]
+    hits.  Like the other totals below, a sum over the cells. *)
 
 val vc_walks : t -> int
 (** Accesses resolved by an O(n) rule ([Vc] class: READ SHARE /
@@ -179,13 +169,15 @@ val same_epoch_frac : t -> float
 
 val hot_alist : ?k:int -> t -> (string * int) list
 (** Top [k] (default 5) variables by attributed ops, for the
-    [ftrace.live/1] [top_vars] field.  Scans the cell table — publish
-    granularity only, not per event. *)
+    [ftrace.live/1] [top_vars] field: ops descending, then shadow key
+    ascending — the order of the document's [top_vars] and the panel.
+    Sorts the cell table — publish granularity only, not per event. *)
 
 val series : t -> (float * int * int) list
-(** The merged counter-track series: [(seconds, cumulative O(1) ops,
-    cumulative VC-walk ops)], chronological, summed across shard
-    views.  Feeds the Perfetto counter tracks in {!Obs_traceevent}. *)
+(** The counter-track series: [(seconds, cumulative O(1) ops,
+    cumulative VC-walk ops)], chronological, summed across merged
+    shard views.  Feeds the Perfetto counter tracks in
+    {!Obs_traceevent}. *)
 
 val schema_version : string
 (** ["ftrace.prof/1"]. *)
@@ -199,8 +191,8 @@ val document :
   t ->
   Obs_json.t
 (** The [ftrace.prof/1] document: totals, per-rule attribution with
-    cost classes, census, the joined top-[top] (default 20) variable
-    table, sketch metadata, timing buckets and the run's [stats]
+    cost classes, census, the top-[top] (default 20) variables in
+    {!hot_alist}'s order, timing buckets and the run's [stats]
     counters when provided.  A disabled handle yields a valid
     document with zeroed totals. *)
 

@@ -4,17 +4,18 @@
       witnesses are identical with profiling on vs off, sequentially
       and in parallel (attribution observes the rules, it does not
       steer them);
-   2. the Space-Saving sketch honours its bounds: size <= capacity,
-      eviction inherits the evicted minimum as the error bound
-      (true <= count <= true + err), and merging disjoint shard
-      sketches reproduces the single-sketch oracle exactly;
+   2. one ranking of the exact cells: the document's top_vars, the
+      live hot_alist and the trace's own per-variable access counts
+      (ops descending, shadow key ascending) agree, sequentially and
+      merged, also beyond 256 variables;
    3. the merged parallel profile equals the sequential oracle:
       same attributed accesses, same per-variable counts, same
       census population;
    4. the census classifies the shadow-state lifecycle correctly
       (epoch-only vs inflated, inflation/deflation counters);
    5. the ftrace.prof/1 document round-trips through Obs_json_read
-      and its figures agree with the profiler's accessors. *)
+      and its figures agree with the profiler's accessors;
+   6. merged counter series stay within their capacity. *)
 
 module J = Obs_json_read
 
@@ -30,83 +31,6 @@ let rd t x = Event.Read { t; x }
 let wr t x = Event.Write { t; x }
 let fork t u = Event.Fork { t; u }
 let join t u = Event.Join { t; u }
-
-(* ------------------------------------------------------------------ *)
-(* 2. Space-Saving sketch                                             *)
-
-let test_topk_exact_within_capacity () =
-  let s = Obs_topk.create ~capacity:8 () in
-  List.iter
-    (fun (k, n) -> Obs_topk.hit ~by:n s k)
-    [ (1, 5); (2, 3); (3, 9); (1, 1) ];
-  Alcotest.(check int) "size" 3 (Obs_topk.size s);
-  Alcotest.(check bool) "exact" true (Obs_topk.is_exact s);
-  Alcotest.(check (option int)) "count 1" (Some 6) (Obs_topk.count s 1);
-  Alcotest.(check (option int)) "untracked" None (Obs_topk.count s 7);
-  (* deterministic ranking: count descending, key ascending on ties *)
-  Obs_topk.hit ~by:3 s 4;
-  Alcotest.(check (list (triple int int int)))
-    "ordering"
-    [ (3, 9, 0); (1, 6, 0); (2, 3, 0); (4, 3, 0) ]
-    (Obs_topk.to_list s)
-
-let test_topk_eviction_bound () =
-  let s = Obs_topk.create ~capacity:2 () in
-  Obs_topk.hit ~by:5 s 1;
-  Obs_topk.hit ~by:3 s 2;
-  (* key 3 is untracked and the sketch is full: the minimum (key 2,
-     count 3) is evicted and its count becomes key 3's error bound *)
-  Obs_topk.hit s 3;
-  Alcotest.(check int) "size stays bounded" 2 (Obs_topk.size s);
-  Alcotest.(check int) "one eviction" 1 (Obs_topk.evictions s);
-  Alcotest.(check bool) "no longer exact" false (Obs_topk.is_exact s);
-  Alcotest.(check (option int)) "inherited count" (Some 4)
-    (Obs_topk.count s 3);
-  (* the Space-Saving invariant for the new key: true count 1 <=
-     tracked 4 <= 1 + err 3 *)
-  (match Obs_topk.to_list s with
-  | [ (1, 5, 0); (3, 4, 3) ] -> ()
-  | l ->
-    Alcotest.failf "unexpected entries: %s"
-      (String.concat ";"
-         (List.map (fun (k, c, e) -> Printf.sprintf "(%d,%d,%d)" k c e) l)))
-
-let test_topk_merge_oracle () =
-  (* a synthetic zipf-ish stream partitioned by key across 3 "shards"
-     (disjoint keys, the variable-sharding regime): the merged sketch
-     must equal a single sketch that saw the whole stream *)
-  let stream =
-    List.concat_map
-      (fun k -> List.init (1 + ((k * 7) mod 23)) (fun _ -> k))
-      (List.init 30 (fun i -> i))
-  in
-  let oracle = Obs_topk.create ~capacity:64 () in
-  List.iter (Obs_topk.hit oracle) stream;
-  let shards = Array.init 3 (fun _ -> Obs_topk.create ~capacity:64 ()) in
-  List.iter (fun k -> Obs_topk.hit shards.(k mod 3) k) stream;
-  let merged = Obs_topk.create ~capacity:64 () in
-  Array.iter (fun s -> Obs_topk.merge ~into:merged s) shards;
-  Alcotest.(check bool) "merge is exact" true (Obs_topk.is_exact merged);
-  Alcotest.(check (list (triple int int int)))
-    "merged = oracle" (Obs_topk.to_list oracle) (Obs_topk.to_list merged)
-
-let test_topk_lossy_merge_reports_dropped () =
-  let a = Obs_topk.create ~capacity:2 () in
-  let b = Obs_topk.create ~capacity:2 () in
-  Obs_topk.hit ~by:9 a 1;
-  Obs_topk.hit ~by:7 a 2;
-  Obs_topk.hit ~by:8 b 3;
-  Obs_topk.hit ~by:4 b 4;
-  Obs_topk.merge ~into:a b;
-  (* union has 4 entries, capacity 2: truncation keeps the top 2 and
-     records the largest discarded count as the honest rank bound *)
-  Alcotest.(check int) "size" 2 (Obs_topk.size a);
-  Alcotest.(check int) "dropped records the cut" 7 (Obs_topk.dropped a);
-  Alcotest.(check bool) "not exact" false (Obs_topk.is_exact a);
-  Alcotest.(check (list (triple int int int)))
-    "kept the heavy hitters"
-    [ (1, 9, 0); (3, 8, 0) ]
-    (Obs_topk.to_list a)
 
 (* ------------------------------------------------------------------ *)
 (* 1. invariance: profiling on vs off                                 *)
@@ -216,6 +140,77 @@ let test_merge_oracle_trace_gen () =
     [ 3; 17; 99 ]
 
 (* ------------------------------------------------------------------ *)
+(* 2. one ranking of the exact cells                                  *)
+
+(* Every read and write is one rule hit on its variable's cell, so the
+   trace itself gives each cell's exact ops. *)
+let exact_ops tr =
+  let h = Hashtbl.create 256 in
+  Trace.iter
+    (function
+      | Event.Read { x; _ } | Event.Write { x; _ } ->
+        let k = Var.to_string x in
+        Hashtbl.replace h k
+          (1 + Option.value ~default:0 (Hashtbl.find_opt h k))
+      | _ -> ())
+    tr;
+  by_name (Hashtbl.fold (fun k n acc -> (k, n) :: acc) h [])
+
+let ranked_desc l =
+  List.sort
+    (fun (ka, na) (kb, nb) ->
+      match Int.compare nb na with 0 -> Int.compare ka kb | c -> c)
+    l
+
+(* [doc] must list every variable ([~top:max_int]). *)
+let check_ranking ~what tr prof doc =
+  let entries =
+    match J.member "top_vars" doc with
+    | Some (J.Arr l) -> l
+    | _ -> Alcotest.fail "document has no top_vars array"
+  in
+  let doc_vars = List.map (fun v -> (J.str v "var", J.int v "ops")) entries in
+  let doc_keys = List.map (fun v -> (J.int v "key", J.int v "ops")) entries in
+  Alcotest.(check (list (pair string int)))
+    (what ^ ": top_vars = hot_alist")
+    (Obs_prof.hot_alist ~k:max_int prof)
+    doc_vars;
+  Alcotest.(check (list (pair int int)))
+    (what ^ ": ops descending, key ascending")
+    (ranked_desc doc_keys) doc_keys;
+  Alcotest.(check (list (pair string int)))
+    (what ^ ": ops are the exact access counts")
+    (exact_ops tr) (by_name doc_vars)
+
+let check_ranking_of ~what tr =
+  List.iter
+    (fun jobs ->
+      let prof = Obs_prof.create () in
+      let config = Config.with_prof prof Config.default in
+      if jobs = 1 then ignore (Driver.run ~config fasttrack tr)
+      else ignore (Driver.run_parallel ~config ~jobs fasttrack tr);
+      let doc =
+        J.parse (Obs_json.to_string (Obs_prof.document ~top:max_int prof))
+      in
+      check_ranking ~what:(Printf.sprintf "%s -j %d" what jobs) tr prof doc)
+    [ 1; 3 ]
+
+let test_ranking_workloads () =
+  List.iter
+    (fun name -> check_ranking_of ~what:name (trace_of name))
+    [ "crypt"; "eclipse-startup" ]
+
+let test_ranking_many_vars () =
+  let tr =
+    Trace_gen.generate ~seed:5
+      { Trace_gen.threads = 4; vars = 400; locks = 3; volatiles = 2;
+        length = 6000; profile = Trace_gen.Mixed; barriers = true }
+  in
+  Alcotest.(check bool) "more than 256 variables" true
+    (List.length (exact_ops tr) > 256);
+  check_ranking_of ~what:"trace_gen 400 vars" tr
+
+(* ------------------------------------------------------------------ *)
 (* 4. census lifecycle                                                *)
 
 let census_of prof =
@@ -262,7 +257,7 @@ let test_document_roundtrip () =
     J.parse
       (Obs_json.to_string
          (Obs_prof.document ~source:"hedc" ~tool:"FastTrack"
-            ~wall:r.Driver.wall
+            ~wall:r.Driver.wall ~top:max_int
             ~stats:(Stats.fields_alist r.Driver.stats) prof))
   in
   Alcotest.(check string)
@@ -288,8 +283,7 @@ let test_document_roundtrip () =
   let census = Option.get (J.member "census" doc) in
   Alcotest.(check bool) "census taken" true (J.bool census "taken");
   Alcotest.(check bool) "census saw vars" true (J.int census "vars" > 0);
-  let topk = Option.get (J.member "topk" doc) in
-  Alcotest.(check bool) "topk exact on one run" true (J.bool topk "exact");
+  check_ranking ~what:"hedc" tr prof doc;
   (* the run's stats ride along verbatim *)
   let stats_j = Option.get (J.member "stats" doc) in
   List.iter
@@ -333,17 +327,42 @@ let test_sampling_smoke () =
   Alcotest.(check int) "stride" 1 (J.int timing "stride");
   Alcotest.(check bool) "samples recorded" true (J.int timing "samples" > 0)
 
+(* ------------------------------------------------------------------ *)
+(* 6. merged series bound                                             *)
+
+let test_merged_series_bound () =
+  let cap = 16 and views = 40 and points = 10 in
+  let prof = Obs_prof.create ~sample_stride:1 ~series_capacity:cap () in
+  let first = ref None in
+  for _ = 1 to views do
+    let v = Obs_prof.shard_view prof in
+    for i = 1 to points do
+      Obs_prof.sample v ~ns:1. ~o1:i ~vc:(2 * i)
+    done;
+    if !first = None then first := Some (List.hd (Obs_prof.series v));
+    Obs_prof.merge ~into:prof v
+  done;
+  let s = Obs_prof.series prof in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d points within the cap" (List.length s))
+    true
+    (List.length s <= cap);
+  let at, o1, vc = List.hd s in
+  let at0, o10, vc0 = Option.get !first in
+  Alcotest.(check (float 0.)) "first point kept" at0 at;
+  Alcotest.(check (pair int int)) "first point's counts" (o10, vc0) (o1, vc);
+  let _, o1, vc = List.nth s (List.length s - 1) in
+  Alcotest.(check (pair int int))
+    "last point sums every view's final counts"
+    (views * points, views * 2 * points)
+    (o1, vc);
+  let doc = J.parse (Obs_json.to_string (Obs_prof.document prof)) in
+  Alcotest.(check int) "series_points" (List.length s)
+    (J.int doc "series_points")
+
 let suite =
   ( "prof",
-    [ Alcotest.test_case "topk: exact within capacity" `Quick
-        test_topk_exact_within_capacity;
-      Alcotest.test_case "topk: eviction inherits the error bound" `Quick
-        test_topk_eviction_bound;
-      Alcotest.test_case "topk: sharded merge = single-sketch oracle"
-        `Quick test_topk_merge_oracle;
-      Alcotest.test_case "topk: lossy merge reports the cut" `Quick
-        test_topk_lossy_merge_reports_dropped;
-      Alcotest.test_case "prof on/off: sequential verdicts identical"
+    [ Alcotest.test_case "prof on/off: sequential verdicts identical"
         `Quick test_invariance_seq;
       Alcotest.test_case "prof on/off: parallel verdicts identical"
         `Quick test_invariance_parallel;
@@ -353,6 +372,12 @@ let suite =
         `Quick test_parallel_merge_oracle;
       Alcotest.test_case "merge oracle holds on generated traces"
         `Quick test_merge_oracle_trace_gen;
+      Alcotest.test_case "one ranking: top_vars = hot_alist = exact ops"
+        `Quick test_ranking_workloads;
+      Alcotest.test_case "one ranking beyond 256 variables" `Quick
+        test_ranking_many_vars;
+      Alcotest.test_case "merged series stays within its capacity" `Quick
+        test_merged_series_bound;
       Alcotest.test_case "census: inflation/deflation lifecycle" `Quick
         test_census_lifecycle;
       Alcotest.test_case "ftrace.prof/1 document round-trips" `Quick
