@@ -53,14 +53,23 @@ let run ~scale:_ ~repeat () =
       let _, ft_time =
         Bench_common.measure ~repeat (module Fasttrack) tr
       in
-      let acc = Fasttrack_accordion.create Config.default in
-      let (), acc_time =
-        Driver.time (fun () ->
-            Trace.iteri
-              (fun index e -> Fasttrack_accordion.on_event acc ~index e)
-              tr)
+      let acc_result, acc_time =
+        Bench_common.measure ~repeat (module Fasttrack_accordion) tr
       in
-      assert (Fasttrack_accordion.warnings acc = []);
+      let acc = Fasttrack_accordion.create Config.default in
+      Trace.iteri (fun index e -> Fasttrack_accordion.on_event acc ~index e) tr;
+      (* ground truth: the workers touch only their own variables and
+         read the main thread's write after their fork, and at most the
+         main thread and one worker are ever live *)
+      if acc_result.Driver.warnings <> [] then
+        failwith
+          (Printf.sprintf "%s: accordion warns on a race-free program \
+                           (precision regression)" w.Workload.name);
+      if Fasttrack_accordion.slot_count acc <> 2 then
+        failwith
+          (Printf.sprintf "%s: accordion used %d slots, expected 2 \
+                           (slot recycling regression)"
+             w.Workload.name (Fasttrack_accordion.slot_count acc));
       Table.add_row t
         [ Table.fmt_int (w.Workload.threads);
           Table.fmt_int (Trace.length tr);

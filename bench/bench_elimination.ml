@@ -58,8 +58,8 @@ let run ~scale ~repeat () =
         if r0.Driver.warnings <> r1.Driver.warnings then
           failwith
             (Printf.sprintf
-               "%s: warnings differ with static elimination on — \
-                soundness regression"
+               "%s: warnings differ with static elimination on \
+                (soundness regression)"
                w.Workload.name);
         let dropped_frac =
           float_of_int r1.Driver.stats.Stats.eliminated

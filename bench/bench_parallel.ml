@@ -111,7 +111,7 @@ let run ~scale ~repeat () =
             failwith
               (Printf.sprintf
                  "%s: parallel (%d jobs) warnings differ from \
-                  sequential — precision regression"
+                  sequential (precision regression)"
                  w.name jobs);
           let best, elapsed =
             best_run ~repeat (fun () -> Driver.run_parallel ~jobs d tr)

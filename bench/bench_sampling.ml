@@ -107,8 +107,8 @@ let run ~scale ~repeat () =
               then
                 failwith
                   (Printf.sprintf
-                     "%s: rate 1.0 warnings differ from FastTrack — \
-                      precision regression"
+                     "%s: rate 1.0 warnings differ from FastTrack \
+                      (precision regression)"
                      w.Workload.name);
               (* sampling only skips checks, so it never warns where
                  FastTrack does not *)

@@ -88,10 +88,10 @@ let jobs_arg =
                  domains (1 = sequential; 0 = one per available core), \
                  as a work-stealing item queue over a shared sync \
                  timeline.  Flight-recorder runs ($(b,--explain), \
-                 $(b,--report)) and tools that do not share clocks \
-                 (goldilocks, accordion) run sequentially whatever \
-                 $(docv) is.  Warnings are merged deterministically and \
-                 are identical to a sequential run's.  Values above the \
+                 $(b,--report)) and goldilocks, which does not share \
+                 clocks, run sequentially whatever $(docv) is.  \
+                 Warnings are merged deterministically and are \
+                 identical to a sequential run's.  Values above the \
                  runtime's recommended domain count are accepted but \
                  warned about (domains would contend for cores).")
 

@@ -394,3 +394,6 @@ let inspect d x =
     Some { write = st.w; read }
 
 let current_epoch d t = Clock_source.epoch d.sync ~index:max_int t
+
+let clock_entry d t u =
+  VC.get (Clock_source.clock d.sync ~index:max_int t) u

@@ -48,3 +48,9 @@ val inspect : t -> Var.t -> repr option
 
 val current_epoch : t -> Tid.t -> Epoch.t
 (** The thread's cached epoch [E(t)], exposed for tests. *)
+
+val clock_entry : t -> Tid.t -> Tid.t -> int
+(** [clock_entry d t u] is [C_t(u)]: what thread [t] knows of [u]'s
+    clock.  For front ends that rename threads (Accordion recycles a
+    joined thread's slot once every live thread's entry for it has
+    reached its final clock). *)

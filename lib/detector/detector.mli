@@ -17,9 +17,8 @@ module type S = sig
       read-only {!Sync_timeline} ([Config.sync_source]) instead of a
       private sync replay.  When [true], [Driver.run_parallel] may use
       the work-stealing plan (access-only items over the shared
-      timeline); when [false] (e.g. Goldilocks' sync-op log,
-      Accordion's private clock compression) it runs the detector
-      sequentially. *)
+      timeline); when [false] (Goldilocks' sync-op log, Accordion's
+      tid -> slot renaming) it runs the detector sequentially. *)
 
   val create : Config.t -> t
 

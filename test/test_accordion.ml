@@ -7,6 +7,9 @@ let wr t x = Event.Write { t; x }
 let fork t u = Event.Fork { t; u }
 let join t u = Event.Join { t; u }
 
+let warning_lines ?(config = Config.default) d tr =
+  List.map Warning.to_string (Driver.run ~config d tr).Driver.warnings
+
 (* A server-style program: [n] short-lived workers forked and joined
    in sequence, each touching shared read-only data and its own
    output. *)
@@ -83,7 +86,10 @@ let test_race_after_collections () =
   Alcotest.(check bool) "accordion sees the race" true
     (run (module Fasttrack_accordion) = [ x ]);
   Alcotest.(check bool) "plain fasttrack agrees" true
-    (run (module Fasttrack) = [ x ])
+    (run (module Fasttrack) = [ x ]);
+  Alcotest.(check (list string)) "same warning as fasttrack"
+    (warning_lines (module Fasttrack) tr)
+    (warning_lines (module Fasttrack_accordion) tr)
 
 (* Oh yes: the headline — precision identical to the oracle on random
    feasible traces (which satisfy the fork-creation assumption). *)
@@ -97,42 +103,61 @@ let prop_accordion_precise =
           (Helpers.vars_to_string oracle)
           (Helpers.vars_to_string ours))
 
-let test_gclock_basics () =
-  let reg = Slot_registry.create () in
-  let s0 = Slot_registry.slot_of reg 0 in
-  let v = Gclock.create () in
-  Gclock.set reg v s0 5;
-  Alcotest.(check int) "set/get" 5 (Gclock.get reg v s0);
-  (* collecting slot 0's occupant makes the entry stale *)
-  Slot_registry.note_alive reg 0;
-  Slot_registry.on_join reg ~joined:0 ~final_clock:5;
-  Slot_registry.collect reg ~live_dominates:(fun ~slot:_ ~clock:_ -> true);
-  Alcotest.(check int) "stale entry reads 0" 0 (Gclock.get reg v s0);
-  (* the slot is recycled for a fresh thread *)
-  let s1 = Slot_registry.slot_of reg 7 in
-  Alcotest.(check int) "slot recycled" s0 s1;
-  Alcotest.(check int) "one slot total" 1 (Slot_registry.slot_count reg)
+(* A race is the same race under the renaming: thread, variable,
+   position and kind.  The prior is not compared: for a READ SHARED
+   write, the lowest slot above [C_t] can name a different racing
+   reader than the lowest tid. *)
+let race_keys d tr =
+  List.map
+    (fun w -> (w.Warning.x, w.index, w.kind, w.tid))
+    (Driver.run d tr).Driver.warnings
 
-let test_gepoch_staleness () =
-  let reg = Slot_registry.create () in
-  let s = Slot_registry.slot_of reg 3 in
-  Slot_registry.note_alive reg 3;
-  let e = Gclock.Gepoch.make reg ~slot:s ~clock:9 in
-  let empty = Gclock.create () in
-  Alcotest.(check bool) "current epoch not ⪯ empty clock" false
-    (Gclock.Gepoch.leq_clock reg e empty);
-  Slot_registry.on_join reg ~joined:3 ~final_clock:9;
-  Slot_registry.collect reg ~live_dominates:(fun ~slot:_ ~clock:_ -> true);
-  Alcotest.(check bool) "stale" true (Gclock.Gepoch.stale reg e);
-  Alcotest.(check bool) "stale epoch ⪯ everything" true
-    (Gclock.Gepoch.leq_clock reg e empty)
+let prop_accordion_races =
+  Helpers.qtest ~count:250 "accordion races = fasttrack" (fun tr ->
+      race_keys (module Fasttrack_accordion) tr
+      = race_keys (module Fasttrack) tr)
+
+let test_workloads_equal_fasttrack () =
+  List.iter
+    (fun (w : Workload.t) ->
+      let tr = Workload.trace ~scale:1 w in
+      List.iter
+        (fun (gname, config) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s" w.name gname)
+            (warning_lines ~config (module Fasttrack) tr)
+            (warning_lines ~config (module Fasttrack_accordion) tr))
+        [ ("fine", Config.default); ("coarse", Config.coarse);
+          ("adaptive", Config.adaptive) ])
+    Workloads.all
+
+(* 5 000 threads live at once: more than a packed slot field could
+   name, and every clock is 5 000 entries long. *)
+let test_many_live_threads () =
+  let n = 5_000 in
+  let tr =
+    Trace.of_list
+      (List.init n (fun i -> fork 0 (i + 1))
+      @ List.init n (fun i -> wr (i + 1) (Var.scalar (i + 1)))
+      @ List.init n (fun i -> join 0 (i + 1)))
+  in
+  let d = Fasttrack_accordion.create Config.default in
+  Trace.iteri (fun index e -> Fasttrack_accordion.on_event d ~index e) tr;
+  Alcotest.(check (list string)) "warnings = fasttrack"
+    (warning_lines (module Fasttrack) tr)
+    (List.map Warning.to_string (Fasttrack_accordion.warnings d));
+  Alcotest.(check int) "one slot per thread" (n + 1)
+    (Fasttrack_accordion.slot_count d)
 
 let suite =
   ( "accordion clocks",
-    [ Alcotest.test_case "gclock basics" `Quick test_gclock_basics;
-      Alcotest.test_case "gepoch staleness" `Quick test_gepoch_staleness;
-      Alcotest.test_case "slots recycled under churn" `Quick
+    [ Alcotest.test_case "slots recycled under churn" `Quick
         test_slots_recycled;
       Alcotest.test_case "race after collections" `Quick
         test_race_after_collections;
-      prop_accordion_precise ] )
+      Alcotest.test_case "more than 4096 live threads" `Quick
+        test_many_live_threads;
+      Alcotest.test_case "warnings = fasttrack on every workload" `Quick
+        test_workloads_equal_fasttrack;
+      prop_accordion_precise;
+      prop_accordion_races ] )
